@@ -24,8 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
-from typing import Iterable, Iterator, Sequence
+from collections import deque
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -39,7 +42,7 @@ from .graph import (
 from .oracle import (
     MAX_ENUM_N,
     TheoremReport,
-    labeled_graph_from_mask,
+    sweep_reports,
     verify_all_identities,
 )
 from .star import Classification, classify, star_sequence
@@ -194,50 +197,46 @@ def render_genfunc(rec: dict) -> str:
     )
 
 
-def _triggered_ids(rec: dict) -> list[str]:
-    return [e["id"] for e in rec["errata"] if e["triggered"]]
+def _triggered_ids(report: TheoremReport) -> list[str]:
+    return [note.note_id for note in report.errata if note.triggered]
 
 
-def render_report_full(rec: dict) -> str:
-    status = "PASS" if rec["passed"] else "FAIL"
+def render_report_full(report: TheoremReport) -> str:
+    status = "PASS" if report.passed else "FAIL"
     lines = [
         _kv_block(
             [
-                ("identifier", rec["identifier"]),
-                ("n", str(rec["n"])),
-                ("m", str(rec["m"])),
-                ("status", f"{status} ({rec['checks']} checks)"),
+                ("identifier", report.graph_id),
+                ("n", str(report.n)),
+                ("m", str(report.m)),
+                ("status", f"{status} ({report.check_count} checks)"),
             ]
         )
     ]
-    for name, info in rec["theorems"].items():
-        lines.append(f"  {name.ljust(20)} {info['status']}  {info['checks']} checks")
-        if info["status"] == "fail":
-            for label, residual in info["residuals"].items():
-                if residual != "0":
-                    lines.append(f"    FAIL {label} residual={residual}")
-    for note in rec["errata"]:
-        if note["triggered"]:
-            witness = " ".join(f"{k}={v}" for k, v in note["witness"].items())
-            lines.append(f"  erratum {note['id']} [triggered] {witness}")
+    for res in report.theorems:
+        res_status = "pass" if res.passed else "fail"
+        lines.append(f"  {res.name.ljust(20)} {res_status}  {len(res.checks)} checks")
+        for check in res.failures:
+            lines.append(f"    FAIL {check.label} residual={check.residual!s}")
+    for note in report.errata:
+        if note.triggered:
+            witness = " ".join(f"{k}={v}" for k, v in note.witness.items())
+            lines.append(f"  erratum {note.note_id} [triggered] {witness}")
         else:
-            lines.append(f"  erratum {note['id']} [not observable here]")
+            lines.append(f"  erratum {note.note_id} [not observable here]")
     return "\n".join(lines)
 
 
-def render_report_line(rec: dict) -> str:
-    status = "PASS" if rec["passed"] else "FAIL"
-    errata = ",".join(_triggered_ids(rec)) or "-"
+def render_report_line(report: TheoremReport) -> str:
+    status = "PASS" if report.passed else "FAIL"
+    errata = ",".join(_triggered_ids(report)) or "-"
     lines = [
-        f"{status} {rec['identifier']} n={rec['n']} m={rec['m']} "
-        f"checks={rec['checks']} errata={errata}"
+        f"{status} {report.graph_id} n={report.n} m={report.m} "
+        f"checks={report.check_count} errata={errata}"
     ]
-    if not rec["passed"]:
-        for name, info in rec["theorems"].items():
-            if info["status"] == "fail":
-                for label, residual in info["residuals"].items():
-                    if residual != "0":
-                        lines.append(f"  FAIL {name}/{label} residual={residual}")
+    if not report.passed:
+        for name, check in report.failures():
+            lines.append(f"  FAIL {name}/{check.label} residual={check.residual!s}")
     return "\n".join(lines)
 
 
@@ -264,12 +263,20 @@ def _iter_inputs(path: str, fmt: str) -> Iterator[tuple[str, Graph | GraphFormat
                 except GraphFormatError as exc:
                     yield ident, exc
     else:
+        yield path, _read_edge_list(path)
+
+
+def _read_edge_list(path: str) -> Graph | GraphFormatError:
+    """Parse one edge-list file; undecodable or malformed text yields the exception."""
+    try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        try:
-            yield path, parse_edge_list(text)
-        except GraphFormatError as exc:
-            yield path, exc
+    except UnicodeDecodeError as exc:
+        return GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    try:
+        return parse_edge_list(text)
+    except GraphFormatError as exc:
+        return exc
 
 
 def _usage_error(message: str) -> int:
@@ -346,30 +353,97 @@ def cmd_genfunc(args: argparse.Namespace) -> int:
     return _run_simple(args, build)
 
 
-def _verify_mask_task(task: tuple[int, int, int, int]) -> dict:
-    n, mask, p_max, m_max = task
-    g = labeled_graph_from_mask(n, mask)
-    report = verify_all_identities(g, p_max, m_max, graph_id=f"n={n}:mask={mask}")
-    return report_to_dict(report)
+# What the verify loop takes from each graph, rendered where the graph was
+# verified: ("report", stdout text, checks, passed, errata observed) or
+# ("error", identifier, message).
+_Outcome = tuple
 
 
-def _verify_line_task(task: tuple[str, str, int, int]) -> dict:
-    ident, line, p_max, m_max = task
+def _report_outcome(report: TheoremReport, as_json: bool, compact: bool) -> _Outcome:
+    if as_json:
+        text = json.dumps(report_to_dict(report))
+    elif compact:
+        text = render_report_line(report)
+    else:
+        text = render_report_full(report) + "\n"
+    return ("report", text, report.check_count, report.passed, len(_triggered_ids(report)))
+
+
+def _verify_mask_range(task: tuple[int, int, int, int, int, bool]) -> list[_Outcome]:
+    n, start, stop, p_max, m_max, as_json = task
+    reports = sweep_reports(n, start, stop, p_max=p_max, m_max=m_max)
+    return [_report_outcome(r, as_json, True) for r in reports]
+
+
+def _verify_line_task(task: tuple[str, str, int, int, bool]) -> _Outcome:
+    ident, line, p_max, m_max, as_json = task
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
-        return error_record(ident, exc)
+        return ("error", ident, str(exc))
     report = verify_all_identities(g, p_max, m_max, graph_id=ident)
-    return report_to_dict(report)
+    return _report_outcome(report, as_json, True)
 
 
-def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator[dict]:
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            yield from pool.imap(fn, tasks, chunksize=128)
-    else:
-        for task in tasks:
-            yield fn(task)
+def _verify_edge_list(args: argparse.Namespace) -> _Outcome:
+    g = _read_edge_list(args.input)
+    if isinstance(g, GraphFormatError):
+        return ("error", args.input, str(g))
+    report = verify_all_identities(g, args.p_max, args.m_max, graph_id=args.input)
+    return _report_outcome(report, args.json, False)
+
+
+def _pool_size(jobs: int, ntasks: int) -> int:
+    """Worker processes for ntasks tasks; the output never depends on it."""
+    return min(jobs, os.cpu_count() or 1, ntasks)
+
+
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(task) for task in chunk]
+
+
+def _map_tasks(fn, tasks: list, jobs: int, chunksize: int = 1) -> Iterator:
+    """fn over tasks, results in task order, across a process pool when
+    there are two or more chunks of tasks for it.  At most two chunks per
+    worker are pending at once, so finished results never pile up behind a
+    slow consumer."""
+    chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
+    workers = _pool_size(jobs, len(chunks))
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
+    # Spawned workers import the package afresh, so the digit limit is
+    # lifted again in each of them.
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(workers, initializer=_lift_digit_limit) as pool:
+        pending: deque = deque()
+        for chunk in chunks:
+            pending.append(pool.apply_async(_map_chunk, (fn, chunk)))
+            if len(pending) > 2 * workers:
+                yield from pending.popleft().get()
+        while pending:
+            yield from pending.popleft().get()
+
+
+# Largest mask range one exhaustive-sweep task covers.  Each task keeps its
+# own per-profile results, so larger ranges repeat less profile work.
+SWEEP_RANGE = 1 << 12
+
+
+def _exhaustive_outcomes(
+    n: int, p_max: int, m_max: int, as_json: bool, jobs: int
+) -> Iterator[_Outcome]:
+    """One outcome per labeled graph on n vertices, in mask order."""
+    nmasks = 1 << (n * (n - 1) // 2)
+    size = min(SWEEP_RANGE, max(1, nmasks >> 3))
+    tasks = [
+        (n, lo, min(lo + size, nmasks), p_max, m_max, as_json) for lo in range(0, nmasks, size)
+    ]
+    if _pool_size(jobs, len(tasks)) < 2:
+        # One range, one set of per-profile results, streamed graph by graph.
+        reports = sweep_reports(n, p_max=p_max, m_max=m_max)
+        return (_report_outcome(r, as_json, True) for r in reports)
+    return chain.from_iterable(_map_tasks(_verify_mask_range, tasks, jobs))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -380,7 +454,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         return _usage_error("--jobs must be at least 1")
 
-    compact = True
     if args.exhaustive:
         if args.input:
             return _usage_error("--exhaustive does not take an input file")
@@ -388,41 +461,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--exhaustive requires --n")
         if not 1 <= args.n <= MAX_ENUM_N:
             return _usage_error(f"--n must be between 1 and {MAX_ENUM_N}")
-        nmasks = 1 << (args.n * (args.n - 1) // 2)
-        tasks = ((args.n, mask, args.p_max, args.m_max) for mask in range(nmasks))
-        records = _map_tasks(_verify_mask_task, tasks, args.jobs)
+        outcomes = _exhaustive_outcomes(args.n, args.p_max, args.m_max, args.json, args.jobs)
     else:
         if args.n is not None:
             return _usage_error("--n only applies with --exhaustive")
         if not args.input:
             return _usage_error("verify needs an input file or --exhaustive")
-        fmt = _resolve_format(args)
-        if fmt == "graph6":
+        if _resolve_format(args) == "graph6":
             with open(args.input, encoding="ascii", errors="replace") as fh:
                 tasks = [
-                    (f"{args.input}:{lineno}", line.strip(), args.p_max, args.m_max)
+                    (f"{args.input}:{lineno}", line.strip(), args.p_max, args.m_max, args.json)
                     for lineno, line in enumerate(fh, start=1)
                     if line.strip()
                 ]
-            records = _map_tasks(_verify_line_task, tasks, args.jobs)
+            outcomes = _map_tasks(_verify_line_task, tasks, args.jobs, 128)
         else:
-            compact = False
-            records = iter(_verify_edge_list(args))
+            outcomes = [_verify_edge_list(args)]
 
     graphs = checks = failures = errata_hits = 0
     had_error = False
-    renderer = render_report_line if compact else render_report_full
-    for rec in records:
-        if rec["type"] == "error":
+    for kind, *data in outcomes:
+        if kind == "error":
+            ident, message = data
             had_error = True
-            _emit_parse_error(rec["identifier"], ValueError(rec["error"]), args.json)
+            _emit_parse_error(ident, ValueError(message), args.json)
             continue
+        text, graph_checks, passed, graph_errata = data
         graphs += 1
-        checks += rec["checks"]
-        if not rec["passed"]:
-            failures += 1
-        errata_hits += len(_triggered_ids(rec))
-        _emit(rec, args.json, renderer, pad=not compact)
+        checks += graph_checks
+        failures += not passed
+        errata_hits += graph_errata
+        print(text)
 
     summary = {
         "type": "summary",
@@ -443,17 +512,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if failures:
         return 1
     return 2 if had_error else 0
-
-
-def _verify_edge_list(args: argparse.Namespace) -> list[dict]:
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        g = parse_edge_list(text)
-    except GraphFormatError as exc:
-        return [error_record(args.input, exc)]
-    report = verify_all_identities(g, args.p_max, args.m_max, graph_id=args.input)
-    return [report_to_dict(report)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +569,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lift_digit_limit() -> int | None:
+    """Turn off CPython's int-to-str digit limit; return the old limit, or
+    None on interpreters that have none.  Exact answers such as Z_p at
+    large p run to thousands of digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    return old
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    old_limit = _lift_digit_limit()
     try:
         return args.handler(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,16 @@ __all__ = [
 
 GRAPH6_HEADER = ">>graph6<<"
 
+# Integer tokens longer than CPython's default int-from-str digit limit are
+# refused before int() sees them, whatever limit the interpreter runs with.
+_MAX_INT_TOKEN = 4300
+
+
+def _parse_int(token: str) -> int:
+    if len(token) > _MAX_INT_TOKEN:
+        raise ValueError(f"integer token longer than {_MAX_INT_TOKEN} characters")
+    return int(token)
+
 
 class GraphFormatError(ValueError):
     """Malformed graph input.  Carries the 1-based line number when known."""
@@ -126,7 +136,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 1:
                 raise GraphFormatError("expected a single integer vertex count", lineno)
             try:
-                n = int(tokens[0])
+                n = _parse_int(tokens[0])
             except ValueError:
                 raise GraphFormatError(f"invalid vertex count {tokens[0]!r}", lineno) from None
             if n < 1:
@@ -135,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 'u v', got {stripped!r}", lineno)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _parse_int(tokens[0]), _parse_int(tokens[1])
         except ValueError:
             raise GraphFormatError(f"non-integer endpoint in {stripped!r}", lineno) from None
         if u == v:

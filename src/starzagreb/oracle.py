@@ -6,19 +6,24 @@ by exact long division.  verify_all_identities replays every identity in
 the library against those independent routes; a report that says pass has
 every residual identically zero, and disputed sign or index variants are
 evaluated both ways and recorded as erratum notes instead of failures.
+sweep_reports yields the same reports for a range of labeled graphs,
+evaluating the identities that read a graph only through its frequency
+sequence once per distinct sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_signed
-from .graph import Graph, frequency_sequence, to_graph6
+from .graph import FrequencySequence, Graph, degrees, frequency_sequence, to_graph6
 from .star import (
+    StarSequence,
     alternating_moment,
     frequency_from_star,
     inverse_degree_edge_sum,
@@ -46,6 +51,7 @@ __all__ = [
     "all_labeled_graphs",
     "labeled_graph_from_mask",
     "series_expand_rational",
+    "sweep_reports",
     "verify_all_identities",
 ]
 
@@ -77,6 +83,17 @@ def count_stars_bruteforce(g: Graph, k: int) -> int:
     return ordered // 2 if k == 1 else ordered
 
 
+def _vertex_pairs(n: int) -> list[tuple[int, int]]:
+    """The C(n, 2) vertex pairs in lexicographic order, for 1 <= n <= MAX_ENUM_N."""
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_N}")
+    return list(combinations(range(n), 2))
+
+
+def _graph_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Graph:
+    return Graph(n, frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1))
+
+
 def labeled_graph_from_mask(n: int, mask: int) -> Graph:
     """The labeled graph whose edge set is the given bitmask over vertex
     pairs in lexicographic order: bit 0 is (0,1), bit 1 is (0,2), ...
@@ -84,7 +101,7 @@ def labeled_graph_from_mask(n: int, mask: int) -> Graph:
     pairs = list(combinations(range(n), 2))
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"mask out of range for n = {n}")
-    return Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+    return _graph_from_mask(n, pairs, mask)
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -94,12 +111,9 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
     pairs in lexicographic order, so the stream order is a fixed contract
     and the enumeration can be partitioned across workers by mask range.
     """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_ENUM_N}")
-    pairs = list(combinations(range(n), 2))
-    npairs = len(pairs)
-    for mask in range(1 << npairs):
-        yield Graph(n, frozenset(pairs[i] for i in range(npairs) if mask >> i & 1))
+    pairs = _vertex_pairs(n)
+    for mask in range(1 << len(pairs)):
+        yield _graph_from_mask(n, pairs, mask)
 
 
 def series_expand_rational(numerator: Sequence[int], n: int, terms: int) -> list[int]:
@@ -122,7 +136,7 @@ def series_expand_rational(numerator: Sequence[int], n: int, terms: int) -> list
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremCheck:
     """One exact comparison: residual = claimed value minus ground truth."""
 
@@ -141,7 +155,9 @@ class TheoremResult:
     name: str
     checks: tuple[TheoremCheck, ...]
 
-    @property
+    # Cached: a sweep shares one result among every graph of a degree
+    # profile, so the status is computed once per profile.
+    @cached_property
     def passed(self) -> bool:
         return all(c.holds for c in self.checks)
 
@@ -187,6 +203,18 @@ class TheoremReport:
 
     def failures(self) -> list[tuple[str, TheoremCheck]]:
         return [(t.name, c) for t in self.theorems for c in t.failures]
+
+
+@dataclass(frozen=True)
+class _ProfileVerdict:
+    """The checks of one degree profile, plus what the per-graph checks need."""
+
+    non_isolated: int
+    stars: StarSequence
+    leading: tuple[TheoremResult, ...]
+    f0_check: TheoremCheck
+    trailing: tuple[TheoremResult, ...]
+    errata: tuple[ErratumNote, ...]
 
 
 def _moment_sign_note(s, f, m_max: int) -> ErratumNote:
@@ -267,23 +295,15 @@ def _recurrence_index_note(g: Graph, p_max: int) -> ErratumNote:
     return ErratumNote("recurrence_index_base", description, False, None)
 
 
-def verify_all_identities(
-    g: Graph, p_max: int = 8, m_max: int = 4, graph_id: str = ""
-) -> TheoremReport:
-    """Replay every identity against brute-force or direct evaluation.
+def _profile_part(g: Graph, f: FrequencySequence, p_max: int, m_max: int) -> _ProfileVerdict:
+    """Every check of verify_all_identities that reads g only through f.
 
-    All comparisons are exact and every residual is (claimed - ground
-    truth).  Failures land in the report, not in exceptions; two runs over
-    the same graph produce identical reports.
+    g may be any graph whose frequency sequence is f; the results are the
+    same for all of them.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
     n = g.n
-    f = frequency_sequence(g)
     s = star_sequence(g)
-    results = []
+    leading = []
 
     # Inversion: formula-route star counts against degree counting, and back.
     s_from_f = star_from_frequency(f)
@@ -293,7 +313,7 @@ def verify_all_identities(
     f_from_s = frequency_from_star(s)
     for i in range(n):
         checks.append(TheoremCheck(f"f{i}", f_from_s.f(i) - f.f(i)))
-    results.append(TheoremResult("inversion", tuple(checks)))
+    leading.append(TheoremResult("inversion", tuple(checks)))
 
     # Alternating moments against the frequency-side sums.
     checks = [TheoremCheck("m=0", alternating_moment(s, 0) - sum(f.counts[1:]))]
@@ -304,21 +324,18 @@ def verify_all_identities(
                 alternating_moment(s, m_exp) - moment_identity_rhs(f, m_exp),
             )
         )
-    results.append(TheoremResult("moments", tuple(checks)))
+    leading.append(TheoremResult("moments", tuple(checks)))
 
-    # Inverse-degree edge sum and the isolated-vertex count from stars.
-    checks = [
-        TheoremCheck("edge_sum", inverse_degree_edge_sum(g) - (n - f.isolated)),
-        TheoremCheck("f0_from_stars", isolated_count_from_star(s) - f.isolated),
-    ]
-    results.append(TheoremResult("inverse_degree_sum", tuple(checks)))
+    # The isolated-vertex count from stars; its edge-sum sibling is per graph.
+    f0_check = TheoremCheck("f0_from_stars", isolated_count_from_star(s) - f.isolated)
 
+    trailing = []
     # Star-route Zagreb values against direct powers.
     checks = [
         TheoremCheck(f"p={p}", zagreb_from_stars(s, p) - zagreb_direct(g, p))
         for p in range(1, p_max + 1)
     ]
-    results.append(TheoremResult("zagreb_from_stars", tuple(checks)))
+    trailing.append(TheoremResult("zagreb_from_stars", tuple(checks)))
 
     # Generating function: long-division series against direct values, plus
     # both endpoint coefficients.
@@ -336,7 +353,7 @@ def verify_all_identities(
             gf.numerator[n] - (-1) ** n * math.factorial(n) * f.isolated,
         )
     )
-    results.append(TheoremResult("genfunc", tuple(checks)))
+    trailing.append(TheoremResult("genfunc", tuple(checks)))
 
     # Order-n recurrence: the boundary residual must equal the top numerator
     # coefficient, everything past it must vanish, and the sliding-window
@@ -349,28 +366,115 @@ def verify_all_identities(
         checks.append(
             TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - zagreb_direct(g, p))
         )
-    results.append(TheoremResult("recurrence", tuple(checks)))
-
-    # Subset-enumeration star counts against the degree formula.
-    checks = [
-        TheoremCheck(f"k={k}", count_stars_bruteforce(g, k) - s.entry(k))
-        for k in range(1, n)
-    ]
-    results.append(TheoremResult("star_bruteforce", tuple(checks)))
+    trailing.append(TheoremResult("recurrence", tuple(checks)))
 
     errata = (
         _moment_sign_note(s, f, m_max),
         _f1_sign_note(s, f),
         _recurrence_index_note(g, p_max),
     )
-    if not graph_id:
-        graph_id = to_graph6(g) if n <= 62 else f"n={n},m={g.m}"
+    return _ProfileVerdict(
+        non_isolated=n - f.isolated,
+        stars=s,
+        leading=tuple(leading),
+        f0_check=f0_check,
+        trailing=tuple(trailing),
+        errata=errata,
+    )
+
+
+def _report(
+    g: Graph,
+    degs: Sequence[int] | None,
+    verdict: _ProfileVerdict,
+    p_max: int,
+    m_max: int,
+    graph_id: str,
+) -> TheoremReport:
+    """Run the per-graph checks on g and merge them with its profile's verdict."""
+    edge_sum = TheoremCheck(
+        "edge_sum", inverse_degree_edge_sum(g, degs) - verdict.non_isolated
+    )
+    # Subset-enumeration star counts against the degree formula.
+    bruteforce = tuple(
+        TheoremCheck(f"k={k}", count_stars_bruteforce(g, k) - verdict.stars.entry(k))
+        for k in range(1, g.n)
+    )
     return TheoremReport(
         graph_id=graph_id,
-        n=n,
+        n=g.n,
         m=g.m,
         p_max=p_max,
         m_max=m_max,
-        theorems=tuple(results),
-        errata=errata,
+        theorems=(
+            *verdict.leading,
+            TheoremResult("inverse_degree_sum", (edge_sum, verdict.f0_check)),
+            *verdict.trailing,
+            TheoremResult("star_bruteforce", bruteforce),
+        ),
+        errata=verdict.errata,
     )
+
+
+def _check_limits(p_max: int, m_max: int) -> None:
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
+    if m_max < 0:
+        raise ValueError("m_max must be non-negative")
+
+
+def verify_all_identities(
+    g: Graph, p_max: int = 8, m_max: int = 4, graph_id: str = ""
+) -> TheoremReport:
+    """Replay every identity against brute-force or direct evaluation.
+
+    All comparisons are exact and every residual is (claimed - ground
+    truth).  Failures land in the report, not in exceptions; two runs over
+    the same graph produce identical reports.
+    """
+    _check_limits(p_max, m_max)
+    verdict = _profile_part(g, frequency_sequence(g), p_max, m_max)
+    if not graph_id:
+        graph_id = to_graph6(g) if g.n <= 62 else f"n={g.n},m={g.m}"
+    return _report(g, None, verdict, p_max, m_max, graph_id)
+
+
+def sweep_reports(
+    n: int, start: int = 0, stop: int | None = None, *, p_max: int = 8, m_max: int = 4
+) -> Iterator[TheoremReport]:
+    """Reports for the labeled graphs with masks start..stop-1, in mask order.
+
+    Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
+    p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
+    graph only through its frequency sequence f run once per distinct f in
+    the range; the edge sum and the brute-force star counts run on every
+    graph.  The per-f results live only as long as the generator.
+    """
+    _check_limits(p_max, m_max)
+    pairs = _vertex_pairs(n)
+    nmasks = 1 << len(pairs)
+    if stop is None:
+        stop = nmasks
+    if not 0 <= start <= stop <= nmasks:
+        raise ValueError(f"mask range [{start}, {stop}) out of range for n = {n}")
+    verdicts: dict[tuple[int, ...], _ProfileVerdict] = {}
+    # Profiles whose checks all hold yield equal results, label for label,
+    # so each distinct result is kept once, with one cached pass status.
+    results: dict[TheoremResult, TheoremResult] = {}
+    for mask in range(start, stop):
+        g = _graph_from_mask(n, pairs, mask)
+        degs = degrees(g)
+        counts = [0] * n
+        for d in degs:
+            counts[d] += 1
+        key = tuple(counts)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = _profile_part(g, FrequencySequence(key), p_max, m_max)
+            verdict = replace(
+                verdict,
+                leading=tuple(results.setdefault(r, r) for r in verdict.leading),
+                trailing=tuple(results.setdefault(r, r) for r in verdict.trailing),
+            )
+            verdicts[key] = verdict
+        yield _report(g, degs, verdict, p_max, m_max, f"n={n}:mask={mask}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .combinatorics import binomial, stirling2
 from .graph import FrequencySequence, Graph, degrees
@@ -176,17 +177,18 @@ def moment_identity_rhs(f: FrequencySequence, m: int) -> int:
     )
 
 
-def inverse_degree_edge_sum(g: Graph) -> Fraction:
+def inverse_degree_edge_sum(g: Graph, degs: Sequence[int] | None = None) -> Fraction:
     """sum over edges uv of (1/deg(u) + 1/deg(v)), as an exact rational.
 
     Equals n - f_0: each non-isolated vertex v contributes deg(v) terms of
-    1/deg(v), one per incident edge.
+    1/deg(v), one per incident edge.  The terms are summed edge by edge as
+    integers over L, the lcm of the nonzero degrees, and divided once.
+    degs, when given, must be degrees(g).
     """
-    degs = degrees(g)
-    total = Fraction(0)
-    for u, v in g.edges:
-        total += Fraction(1, degs[u]) + Fraction(1, degs[v])
-    return total
+    if degs is None:
+        degs = degrees(g)
+    lcm = math.lcm(*(d for d in degs if d))
+    return Fraction(sum(lcm // degs[u] + lcm // degs[v] for u, v in g.edges), lcm)
 
 
 def isolated_count_from_star(s: StarSequence) -> int:

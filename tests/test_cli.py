@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -82,6 +83,50 @@ def test_info_missing_file_exits_2(capsys):
     rc = main(["info", "/nonexistent/graph.txt"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_non_utf8_edge_list_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "binary.txt"
+    src.write_bytes(b"3\n0 1\n\xff\xfe\n")
+    rc = main([command, str(src)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {src}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_oversized_integer_token_is_an_input_error(tmp_path, capsys):
+    # The CLI lifts the int-to-str digit limit for output; input tokens
+    # beyond the default limit must still be refused, not converted.
+    rc = main(["info", write(tmp_path, "huge.txt", "1" + "0" * 5000 + "\n")])
+    assert rc == 2
+    assert "invalid vertex count" in capsys.readouterr().err
+
+
+def _decimal(value: int) -> str:
+    """str(value) past the interpreter's int-to-str digit limit, if it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_zagreb_answers_past_the_digit_limit(tmp_path, capsys):
+    # Z_2500 of K_{1,61} = 61^2500 + 61 has 4,464 digits.
+    claw = "62\n" + "".join(f"0 {leaf}\n" for leaf in range(1, 62))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    src = write(tmp_path, "k161.txt", claw)
+    rc = main(["zagreb", src, "--p", "2500", "--method", "recurrence", "--json"])
+    rec = json_lines(capsys.readouterr().out)[0]
+    assert rc == 0
+    assert rec["values"]["recurrence"] == _decimal(61**2500 + 61)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_info_graph6_batch(tmp_path, capsys):

@@ -100,6 +100,15 @@ def test_parse_edge_list_errors_carry_line_numbers():
         assert fragment in str(exc_info.value), (text, str(exc_info.value))
 
 
+def test_parse_edge_list_refuses_oversized_integers():
+    # Refused before int() runs, whatever the interpreter's digit limit.
+    huge = "9" * 4301
+    for text in (f"{huge}\n", f"3\n0 {huge}\n"):
+        with pytest.raises(GraphFormatError):
+            parse_edge_list(text)
+    assert parse_edge_list("0" * 4299 + "3\n0 1\n").n == 3
+
+
 def test_parse_edge_list_reports_line_attribute():
     try:
         parse_edge_list("3\n0 1\n0 1\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from starzagreb.combinatorics import binomial
-from starzagreb.graph import FrequencySequence, frequency_sequence
+from starzagreb.graph import FrequencySequence, degrees, frequency_sequence
 from starzagreb.star import (
     InconsistentSequenceError,
     StarSequence,
@@ -144,6 +144,16 @@ def test_inverse_degree_edge_sum_equals_nonisolated_count():
         for g in all_labeled_graphs(n):
             f = frequency_sequence(g)
             assert inverse_degree_edge_sum(g) == Fraction(g.n - f.isolated)
+
+
+@given(graphs(max_n=12))
+def test_inverse_degree_edge_sum_matches_per_edge_fractions(g):
+    degs = degrees(g)
+    expected = sum(
+        (Fraction(1, degs[u]) + Fraction(1, degs[v]) for u, v in g.edges), Fraction(0)
+    )
+    assert inverse_degree_edge_sum(g) == expected
+    assert inverse_degree_edge_sum(g, degs) == expected
 
 
 def test_classify_named_families():

@@ -1,0 +1,225 @@
+"""The exhaustive sweep: per-profile results shared across graphs, every
+per-graph check still run on every graph, and output bytes unchanged."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from types import SimpleNamespace
+
+import pytest
+
+import starzagreb.cli as cli
+import starzagreb.oracle as oracle
+from starzagreb.cli import main, render_report_line, report_to_dict
+from starzagreb.graph import frequency_sequence
+from starzagreb.oracle import labeled_graph_from_mask, sweep_reports, verify_all_identities
+from starzagreb.star import frequency_from_star
+
+# sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
+# from the implementation that evaluated every check on every graph.
+PINNED_SWEEP_SHA256 = {
+    4: (
+        "30e142df756f140cd51385ee6fec43b52566724fd0b447d9d14273a83df3abe5",
+        "bfbf6ed0764f1398455fcea421c168c237a8a60dcecedbcc3ed40267c4f61d98",
+    ),
+    5: (
+        "97ebd28065bb29e456a09b22fda4da0ecb586b377a6592587ac7789bf17206ca",
+        "ad1353e0bef1cf001c2eeea43b38a78c6e109063efc9d3f3b7b82109f9c1c0f7",
+    ),
+}
+
+
+def per_graph_reports(n: int) -> list:
+    return [
+        verify_all_identities(labeled_graph_from_mask(n, mask), graph_id=f"n={n}:mask={mask}")
+        for mask in range(1 << (n * (n - 1) // 2))
+    ]
+
+
+def sweep_stdout(capsys, n: int, *extra: str) -> tuple[int, str]:
+    rc = main(["verify", "--exhaustive", "--n", str(n), *extra])
+    return rc, capsys.readouterr().out
+
+
+def json_lines(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_equals_per_graph_verification(n, capsys):
+    reports = per_graph_reports(n)
+    assert list(sweep_reports(n)) == reports
+
+    checks = sum(r.check_count for r in reports)
+    errata = sum(note.triggered for r in reports for note in r.errata)
+    summary = {
+        "type": "summary",
+        "graphs": len(reports),
+        "checks": checks,
+        "failures": 0,
+        "errata_observations": errata,
+        "passed": True,
+    }
+    text = [render_report_line(r) for r in reports]
+    text.append(
+        f"summary: graphs={len(reports)} checks={checks} failures=0 "
+        f"errata_observations={errata} -> PASS"
+    )
+    assert sweep_stdout(capsys, n) == (0, "\n".join(text) + "\n")
+
+    lines = [json.dumps(report_to_dict(r)) for r in reports]
+    lines.append(json.dumps(summary))
+    assert sweep_stdout(capsys, n, "--json") == (0, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SWEEP_SHA256))
+def test_sweep_output_bytes_pinned(n, capsys):
+    for extra, digest in zip(((), ("--json",)), PINNED_SWEEP_SHA256[n]):
+        rc, out = sweep_stdout(capsys, n, *extra)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+def test_sweep_subrange_and_validation():
+    assert list(sweep_reports(4, 10, 20)) == per_graph_reports(4)[10:20]
+    assert list(sweep_reports(3, 5, 5)) == []
+    for args, kwargs in (
+        ((4, 0, 65), {}),
+        ((4, -1, 3), {}),
+        ((4, 5, 4), {}),
+        ((0,), {}),
+        ((oracle.MAX_ENUM_N + 1,), {}),
+        ((3,), {"p_max": 0}),
+        ((3,), {"m_max": -1}),
+    ):
+        with pytest.raises(ValueError):
+            next(sweep_reports(*args, **kwargs))
+
+
+def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
+    # Two workers even on a one-core machine, so the pool path runs.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for extra in ((), ("--json",)):
+        single = sweep_stdout(capsys, 4, "--jobs", "1", *extra)
+        pooled = sweep_stdout(capsys, 4, "--jobs", "2", *extra)
+        assert single == pooled
+        assert single[0] == 0
+
+
+CLAW_PROFILE = (0, 3, 0, 1)
+
+
+def masks_with_profile(n: int, counts: tuple[int, ...]) -> set[int]:
+    return {
+        mask
+        for mask in range(1 << (n * (n - 1) // 2))
+        if frequency_sequence(labeled_graph_from_mask(n, mask)).counts == counts
+    }
+
+
+def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypatch):
+    real = oracle.zagreb_from_stars
+
+    def off_by_one_on_claws(s, p):
+        return real(s, p) + (frequency_from_star(s).counts == CLAW_PROFILE)
+
+    monkeypatch.setattr(oracle, "zagreb_from_stars", off_by_one_on_claws)
+    rc, out = sweep_stdout(capsys, 4, "--json")
+    records = json_lines(out)
+    failed = {r["identifier"] for r in records[:-1] if not r["passed"]}
+    claws = masks_with_profile(4, CLAW_PROFILE)
+    assert len(claws) == 4
+    assert rc == 1
+    assert failed == {f"n=4:mask={mask}" for mask in claws}
+    assert records[-1]["failures"] == 4
+    for rec in records[:-1]:
+        if rec["identifier"] in failed:
+            bad = rec["theorems"]["zagreb_from_stars"]
+            assert bad["status"] == "fail"
+            assert set(bad["residuals"].values()) == {"1"}
+            assert [t["status"] for t in rec["theorems"].values()].count("fail") == 1
+
+
+@pytest.mark.parametrize(
+    "name, theorem, label, hit",
+    [
+        ("count_stars_bruteforce", "star_bruteforce", "k=1", lambda k: k == 1),
+        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda degs: True),
+    ],
+)
+def test_per_graph_fault_fails_exactly_that_graph(
+    capsys, monkeypatch, name, theorem, label, hit
+):
+    # Mask 11 is a triangle plus an isolated vertex; three other labeled
+    # graphs share its degree profile and must still pass.
+    target = labeled_graph_from_mask(4, 11)
+    assert len(masks_with_profile(4, frequency_sequence(target).counts)) == 4
+    real = getattr(oracle, name)
+
+    def faulty(g, arg):
+        return real(g, arg) + (g == target and hit(arg))
+
+    monkeypatch.setattr(oracle, name, faulty)
+    rc, out = sweep_stdout(capsys, 4)
+    fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert rc == 1
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith("FAIL n=4:mask=11 ")
+    assert f"  FAIL {theorem}/{label} residual=1" in out
+    assert "failures=1 " in out
+
+
+class RecordingPool:
+    """Stands in for a multiprocessing pool: records its size, runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes, initializer=None, initargs=()):
+        RecordingPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, fn, args):
+        result = fn(*args)
+        return SimpleNamespace(get=lambda: result)
+
+
+RecordingContext = SimpleNamespace(Pool=RecordingPool)
+
+
+@pytest.mark.parametrize(
+    "cpus, argv, expected",
+    [
+        # 64 masks in 8 ranges: the pool is capped by the core count.
+        (4, ["verify", "--exhaustive", "--n", "4", "--jobs", "1000000000"], [4]),
+        # 2 masks in 2 ranges: capped by the number of tasks.
+        (4, ["verify", "--exhaustive", "--n", "2", "--jobs", "3"], [2]),
+        # An unknown core count means one worker, so no pool at all.
+        (None, ["verify", "--exhaustive", "--n", "4", "--jobs", "8"], []),
+    ],
+)
+def test_jobs_clamped_to_cores_and_tasks(capsys, monkeypatch, cpus, argv, expected):
+    rc, baseline = main(argv[:-2]), capsys.readouterr().out
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main(argv) == rc == 0
+    assert capsys.readouterr().out == baseline
+    assert RecordingPool.sizes == expected
+
+
+def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "three.g6"
+    src.write_text("Bw\nA_\nCh\n")
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert main(["verify", str(src), "--jobs", "8"]) == 0
+    assert "summary: graphs=3 " in capsys.readouterr().out
+    # Three lines fit one chunk of tasks, so no pool is started.
+    assert RecordingPool.sizes == []
