@@ -7,7 +7,6 @@ surface.
 """
 
 from .combinatorics import (
-    StirlingTables,
     binomial,
     falling_factorial_coeffs,
     stirling1_signed,
@@ -62,7 +61,6 @@ from .zagreb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "StirlingTables",
     "binomial",
     "stirling2",
     "stirling1_signed",

@@ -2,18 +2,22 @@
 coefficients of (1 - t)(1 - 2t) ... (1 - nt).
 
 Everything returns plain Python integers, so results stay exact at any
-size.  No floating point is used anywhere in this package.
+size.  No floating point is used anywhere in this package.  Nothing is
+memoized: each function builds only the row it is asked for, so its work
+and memory are bounded by its own arguments.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from itertools import count, islice
+from typing import Iterator
 
 __all__ = [
-    "StirlingTables",
     "binomial",
+    "surjection_row",
     "stirling2",
+    "stirling1_rows",
     "stirling1_signed",
     "falling_factorial_coeffs",
 ]
@@ -28,75 +32,53 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class StirlingTables:
-    """Memoized triangles of Stirling numbers, grown on demand.
+def surjection_row(p: int, k: int) -> list[int]:
+    """i! {p, i} for i = 0..k, the number of maps from a p-set onto an i-set.
 
-    second_kind(p, k) counts partitions of a p-set into k nonempty blocks
-    and satisfies {p, k} = {p-1, k-1} + k * {p-1, k}.  first_kind_signed(n, k)
-    is the coefficient of x^k in x(x-1)...(x-n+1) and satisfies
-    s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k).
-
-    Rows are appended under a lock and never mutated afterwards, so
-    lookups from concurrent threads are safe.
+    i! {p, i} = sum_j (-1)^(i-j) C(i, j) j^p (Graham, Knuth and Patashnik,
+    Concrete Mathematics, eq. 6.19) is the i-th forward difference of j^p
+    at j = 0, so the row comes from the k + 1 powers 0^p..k^p by repeated
+    differencing.  Entries past i = p are zero.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._second: list[list[int]] = [[1]]
-        self._first: list[list[int]] = [[1]]
-
-    def second_kind(self, p: int, k: int) -> int:
-        if p < 0 or k < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if k > p:
-            return 0
-        if len(self._second) <= p:
-            self._grow_second(p)
-        return self._second[p][k]
-
-    def first_kind_signed(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if k > n:
-            return 0
-        if len(self._first) <= n:
-            self._grow_first(n)
-        return self._first[n][k]
-
-    def _grow_second(self, p: int) -> None:
-        with self._lock:
-            while len(self._second) <= p:
-                q = len(self._second)
-                prev = self._second[q - 1]
-                row = [0] * (q + 1)
-                for k in range(1, q):
-                    row[k] = prev[k - 1] + k * prev[k]
-                row[q] = 1
-                self._second.append(row)
-
-    def _grow_first(self, n: int) -> None:
-        with self._lock:
-            while len(self._first) <= n:
-                q = len(self._first)
-                prev = self._first[q - 1]
-                row = [0] * (q + 1)
-                for k in range(1, q):
-                    row[k] = prev[k - 1] - (q - 1) * prev[k]
-                row[q] = 1
-                self._first.append(row)
-
-
-_SHARED = StirlingTables()
+    if p < 0 or k < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    diffs = [j**p for j in range(k + 1)]
+    row = []
+    while diffs:
+        row.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return row
 
 
 def stirling2(p: int, k: int) -> int:
     """Stirling number of the second kind {p, k}; {0, 0} = 1."""
-    return _SHARED.second_kind(p, k)
+    if p < 0 or k < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    if k > p:
+        return 0
+    return surjection_row(p, k)[k] // math.factorial(k)
+
+
+def stirling1_rows() -> Iterator[list[int]]:
+    """Rows s(q, 0..q) of signed Stirling numbers of the first kind, q = 0, 1, ...
+
+    s(q, k) is the coefficient of x^k in x(x-1)...(x-q+1); each row follows
+    from the last by s(q+1, k) = s(q, k-1) - q * s(q, k), and only the
+    current row is held.
+    """
+    row = [1]
+    for q in count():
+        yield row
+        row = [a - q * b for a, b in zip([0, *row], [*row, 0])]
 
 
 def stirling1_signed(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
-    return _SHARED.first_kind_signed(n, k)
+    if n < 0 or k < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    if k > n:
+        return 0
+    return next(islice(stirling1_rows(), n, None))[k]
 
 
 def falling_factorial_coeffs(n: int) -> list[int]:

@@ -8,6 +8,7 @@ restricted to single-byte sizes (n <= 62).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,11 +28,16 @@ GRAPH6_HEADER = ">>graph6<<"
 # Integer tokens longer than CPython's default int-from-str digit limit are
 # refused before int() sees them, whatever limit the interpreter runs with.
 _MAX_INT_TOKEN = 4300
+# Only ASCII digits with an optional minus: int() alone would also read
+# "1_1", "+3" and non-ASCII digits such as a full-width "３".
+_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def _parse_int(token: str) -> int:
     if len(token) > _MAX_INT_TOKEN:
         raise ValueError(f"integer token longer than {_MAX_INT_TOKEN} characters")
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
     return int(token)
 
 

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
-from .combinatorics import falling_factorial_coeffs, stirling1_signed
+from .combinatorics import falling_factorial_coeffs, stirling1_rows
 from .graph import FrequencySequence, Graph, degrees, frequency_sequence, to_graph6
 from .star import (
     StarSequence,
@@ -276,10 +276,9 @@ def _recurrence_index_note(g: Graph, p_max: int) -> ErratumNote:
     n = g.n
     coeffs = recurrence_coeffs(n)
     z = [zagreb_direct(g, q) for q in range(n + p_max + 1)]
-    for p in range(n + 1, n + p_max + 1):
-        by_exponent = z[p] + sum(
-            stirling1_signed(p + 1, p + 1 - i) * z[p - i] for i in range(1, n + 1)
-        )
+    # row holds s(p+1, 0..p+1) and advances one row per exponent.
+    for p, row in zip(range(n + 1, n + p_max + 1), islice(stirling1_rows(), n + 2, None)):
+        by_exponent = z[p] + sum(row[p + 1 - i] * z[p - i] for i in range(1, n + 1))
         by_vertex_count = z[p] + sum(coeffs[i - 1] * z[p - i] for i in range(1, n + 1))
         if by_exponent != by_vertex_count:
             return ErratumNote(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import binomial, stirling2
+from .combinatorics import binomial, surjection_row
 from .graph import FrequencySequence, Graph, degrees
 
 __all__ = [
@@ -166,15 +166,15 @@ def alternating_moment(s: StarSequence, m: int) -> int:
 def moment_identity_rhs(f: FrequencySequence, m: int) -> int:
     """Frequency-side moment sum: sum_{k=1..m} (-1)^(k-1) k! {m, k} f_k.
 
+    f_k vanishes past the maximum degree, so k stops at min(m, max degree).
     Defined for m >= 1.  The m = 0 case degenerates to the plain count of
     non-isolated vertices, which alternating_moment already yields.
     """
     if m < 1:
         raise ValueError("moment exponent must be at least 1 on the frequency side")
-    return sum(
-        (-1) ** (k - 1) * math.factorial(k) * stirling2(m, k) * f.f(k)
-        for k in range(1, m + 1)
-    )
+    delta = max(k for k, c in enumerate(f.counts) if c)
+    row = surjection_row(m, min(m, delta))
+    return sum((-1) ** (k - 1) * row[k] * f.counts[k] for k in range(1, len(row)))
 
 
 def inverse_degree_edge_sum(g: Graph, degs: Sequence[int] | None = None) -> Fraction:

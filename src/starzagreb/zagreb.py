@@ -8,11 +8,11 @@ arbitrary exponents without computing a single p-th power.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
-from .combinatorics import falling_factorial_coeffs, stirling1_signed, stirling2
+from .combinatorics import falling_factorial_coeffs, stirling1_rows, surjection_row
 from .graph import Graph, degrees
 from .star import StarSequence
 
@@ -38,15 +38,16 @@ def zagreb_direct(g: Graph, p: int) -> int:
 def zagreb_from_stars(s: StarSequence, p: int) -> int:
     """Z_p from star counts: 2*S_1 + sum_{i=2..p} i! {p, i} S_i.
 
+    Only i up to min(p, largest i with S_i != 0) can contribute, which is
+    min(p, max degree) for a graph, so the surjection row stops there.
     Valid for p >= 1 only.  At p = 0 the star route would collapse to 2m
     instead of n, so that case is refused; use zagreb_direct.
     """
     if p < 1:
         raise ValueError("star route needs p >= 1; use zagreb_direct for p = 0")
-    total = s.adjusted_first
-    for i in range(2, min(p, s.n - 1) + 1):
-        total += math.factorial(i) * stirling2(p, i) * s.entry(i)
-    return total
+    top = max((i for i, x in enumerate(s.higher, start=2) if x), default=1)
+    row = surjection_row(p, min(p, top))
+    return s.adjusted_first + sum(row[i] * s.entry(i) for i in range(2, len(row)))
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,8 @@ def genfunc_numerator(g: Graph) -> ZagrebGenFunc:
     """Numerator coefficients a_k = sum_{i<=k} s(n+1, n+1-(k-i)) Z_i, k = 0..n."""
     n = g.n
     z = [zagreb_direct(g, p) for p in range(n + 1)]
-    num = tuple(
-        sum(stirling1_signed(n + 1, n + 1 - (k - i)) * z[i] for i in range(k + 1))
-        for k in range(n + 1)
-    )
+    c = [1, *recurrence_coeffs(n)]
+    num = tuple(sum(c[k - i] * z[i] for i in range(k + 1)) for k in range(n + 1))
     return ZagrebGenFunc(n=n, numerator=num)
 
 
@@ -98,7 +97,8 @@ def recurrence_coeffs(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("recurrence needs at least one vertex")
-    return [stirling1_signed(n + 1, n + 1 - i) for i in range(1, n + 1)]
+    row = next(islice(stirling1_rows(), n + 1, None))
+    return [row[n + 1 - i] for i in range(1, n + 1)]
 
 
 def zagreb_by_recurrence(g: Graph, p: int) -> int:

@@ -2,24 +2,28 @@
 
 Binomials are rechecked with the Pascal recurrence, Stirling numbers of the
 second kind by actually enumerating set partitions, and Stirling numbers of
-the first kind by expanding x(x-1)...(x-n+1) as a polynomial.
+the first kind by expanding x(x-1)...(x-n+1) as a polynomial.  Both kinds
+are also checked against the classic triangle recurrences, kept here as a
+reference for the library's closed form and row generator.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import pytest
 
 from starzagreb.combinatorics import (
-    StirlingTables,
     binomial,
     falling_factorial_coeffs,
+    stirling1_rows,
     stirling1_signed,
     stirling2,
+    surjection_row,
 )
+
+TRIANGLE_SIZE = 60
 
 
 @lru_cache(maxsize=None)
@@ -29,6 +33,24 @@ def pascal(n: int, k: int) -> int:
     if k > n:
         return 0
     return pascal(n - 1, k - 1) + pascal(n - 1, k)
+
+
+def stirling_triangles(size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows 0..size of {p, k} and s(n, k) by the triangle recurrences.
+
+    {p, k} = {p-1, k-1} + k {p-1, k} and s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k).
+    """
+    second, first = [[1]], [[1]]
+    for q in range(1, size + 1):
+        prev2, prev1 = second[-1], first[-1]
+        row2, row1 = [0] * (q + 1), [0] * (q + 1)
+        for k in range(1, q):
+            row2[k] = prev2[k - 1] + k * prev2[k]
+            row1[k] = prev1[k - 1] - (q - 1) * prev1[k]
+        row2[q] = row1[q] = 1
+        second.append(row2)
+        first.append(row1)
+    return second, first
 
 
 def set_partitions(items: tuple[int, ...], k: int):
@@ -140,34 +162,39 @@ def test_stirling_orthogonality():
             assert total == (1 if n == m else 0), (n, m)
 
 
-def test_tables_grow_safely_under_concurrent_lookup():
-    expected2 = {(p, k): stirling2(p, k) for p in range(40) for k in range(p + 1)}
-    expected1 = {(n, k): stirling1_signed(n, k) for n in range(40) for k in range(n + 1)}
+def test_stirling2_matches_triangle_recurrence():
+    second, _ = stirling_triangles(TRIANGLE_SIZE)
+    for p in range(TRIANGLE_SIZE + 1):
+        for k in range(TRIANGLE_SIZE + 1):
+            expected = second[p][k] if k <= p else 0
+            assert stirling2(p, k) == expected, (p, k)
 
-    fresh = StirlingTables()
 
-    def probe(seed: int):
-        out = {}
-        for p in range(seed, 40):
-            out[(p, p // 2)] = (
-                fresh.second_kind(p, p // 2),
-                fresh.first_kind_signed(p, p // 2),
-            )
-        return out
+def test_stirling1_matches_triangle_recurrence():
+    _, first = stirling_triangles(TRIANGLE_SIZE)
+    for n in range(TRIANGLE_SIZE + 1):
+        for k in range(TRIANGLE_SIZE + 1):
+            expected = first[n][k] if k <= n else 0
+            assert stirling1_signed(n, k) == expected, (n, k)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(probe, range(8)))
-    for out in results:
-        for (p, k), (second, first) in out.items():
-            assert second == expected2[(p, k)]
-            assert first == expected1[(p, k)]
+
+def test_rows_match_triangle_recurrence():
+    second, first = stirling_triangles(TRIANGLE_SIZE)
+    for n, row in zip(range(TRIANGLE_SIZE + 1), stirling1_rows()):
+        assert row == first[n], n
+    for p in range(TRIANGLE_SIZE + 1):
+        expected = [math.factorial(k) * second[p][k] for k in range(p + 1)]
+        assert surjection_row(p, p) == expected, p
+        assert surjection_row(p, p + 3) == expected + [0, 0, 0], p
 
 
 def test_negative_indices_rejected():
-    tables = StirlingTables()
-    with pytest.raises(ValueError):
-        tables.second_kind(-1, 0)
-    with pytest.raises(ValueError):
-        tables.first_kind_signed(2, -1)
+    for bad in ((-1, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            stirling2(*bad)
+        with pytest.raises(ValueError):
+            stirling1_signed(*bad)
+        with pytest.raises(ValueError):
+            surjection_row(*bad)
     with pytest.raises(ValueError):
         falling_factorial_coeffs(-1)

@@ -93,6 +93,10 @@ def test_parse_edge_list_errors_carry_line_numbers():
         ("3\n0 1\n0 1\n", "line 3"),
         ("3\n0 one\n", "line 2"),
         ("0\n", "line 1"),
+        ("1_1\n", "line 1"),
+        ("3\n0 1_0\n", "line 2"),
+        ("\uff13\n", "line 1"),
+        ("+3\n", "line 1"),
     ]
     for text, fragment in cases:
         with pytest.raises(GraphFormatError) as exc_info:

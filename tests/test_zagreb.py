@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from starzagreb.graph import Graph, degrees, frequency_sequence
-from starzagreb.star import star_sequence
+from starzagreb.star import alternating_moment, moment_identity_rhs, star_sequence
 from starzagreb.zagreb import (
     ZagrebGenFunc,
     genfunc_numerator,
@@ -57,6 +58,26 @@ def test_zagreb_from_stars_matches_direct():
 def test_zagreb_from_stars_needs_positive_exponent():
     with pytest.raises(ValueError):
         zagreb_from_stars(star_sequence(path(3)), 0)
+
+
+def test_star_route_and_moments_stay_small_at_high_exponent():
+    # Both sums stop at the maximum degree (3 on the claw), so no
+    # p-sized table of Stirling numbers is ever built.
+    claw = star(3)
+    s, f = star_sequence(claw), frequency_sequence(claw)
+    expected_moment = alternating_moment(s, 600)
+    for compute, expected in (
+        (lambda: zagreb_from_stars(s, 600), 3**600 + 3),
+        (lambda: moment_identity_rhs(f, 600), expected_moment),
+    ):
+        tracemalloc.start()
+        try:
+            value = compute()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 2 * 1024 * 1024, peak
 
 
 def test_zagreb_second_index_two_term_form():
