@@ -23,6 +23,7 @@ from .graph import (
     to_graph6,
 )
 from .oracle import (
+    MAX_BRUTEFORCE_N,
     MAX_ENUM_N,
     ErratumNote,
     TheoremCheck,
@@ -93,6 +94,7 @@ __all__ = [
     "zagreb_by_recurrence",
     "verify_recurrence",
     "MAX_ENUM_N",
+    "MAX_BRUTEFORCE_N",
     "TheoremCheck",
     "TheoremResult",
     "ErratumNote",

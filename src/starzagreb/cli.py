@@ -375,22 +375,36 @@ def _verify_mask_range(task: tuple[int, int, int, int, int, bool]) -> list[_Outc
     return [_report_outcome(r, as_json, True) for r in reports]
 
 
+def _verify_graph(
+    ident: str, g: Graph, p_max: int, m_max: int, as_json: bool, compact: bool
+) -> _Outcome:
+    """The report outcome for g, or an error outcome when verify refuses g.
+
+    verify_all_identities puts failed checks in its report; its ValueError
+    means the graph has more vertices than the brute-force star counts can
+    finish (p_max and m_max are checked before any graph is read).
+    """
+    try:
+        report = verify_all_identities(g, p_max, m_max, graph_id=ident)
+    except ValueError as exc:
+        return ("error", ident, str(exc))
+    return _report_outcome(report, as_json, compact)
+
+
 def _verify_line_task(task: tuple[str, str, int, int, bool]) -> _Outcome:
     ident, line, p_max, m_max, as_json = task
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
         return ("error", ident, str(exc))
-    report = verify_all_identities(g, p_max, m_max, graph_id=ident)
-    return _report_outcome(report, as_json, True)
+    return _verify_graph(ident, g, p_max, m_max, as_json, True)
 
 
 def _verify_edge_list(args: argparse.Namespace) -> _Outcome:
     g = _read_edge_list(args.input)
     if isinstance(g, GraphFormatError):
         return ("error", args.input, str(g))
-    report = verify_all_identities(g, args.p_max, args.m_max, graph_id=args.input)
-    return _report_outcome(report, args.json, False)
+    return _verify_graph(args.input, g, args.p_max, args.m_max, args.json, False)
 
 
 def _pool_size(jobs: int, ntasks: int) -> int:

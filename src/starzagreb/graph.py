@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 __all__ = [
@@ -56,7 +57,9 @@ class Graph:
     """Immutable simple graph: a vertex count and a set of (u, v) pairs, u < v.
 
     No self-loops, no duplicate edges, endpoints in [0, n).  Instances are
-    hashable and safe to share across threads or send to worker processes.
+    hashable and picklable.  Equality, hashing and repr read only n and
+    edges; the degree tally and the frequency sequence are cached on first
+    use, and as pure functions of those two fields they can never go stale.
     """
 
     n: int
@@ -90,6 +93,23 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    @cached_property
+    def vertex_degrees(self) -> tuple[int, ...]:
+        """deg(v) for v = 0..n-1, tallied from the edges once per instance."""
+        out = [0] * self.n
+        for u, v in self.edges:
+            out[u] += 1
+            out[v] += 1
+        return tuple(out)
+
+    @cached_property
+    def frequency(self) -> FrequencySequence:
+        """f_i, the number of vertices of degree i, for i = 0..n-1."""
+        counts = [0] * self.n
+        for d in self.vertex_degrees:
+            counts[d] += 1
+        return FrequencySequence(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -233,17 +253,10 @@ def to_graph6(g: Graph) -> str:
 
 
 def degrees(g: Graph) -> list[int]:
-    """Per-vertex degree list; its sum is 2m."""
-    out = [0] * g.n
-    for u, v in g.edges:
-        out[u] += 1
-        out[v] += 1
-    return out
+    """Per-vertex degree list, a fresh copy of g's cached tally; its sum is 2m."""
+    return list(g.vertex_degrees)
 
 
 def frequency_sequence(g: Graph) -> FrequencySequence:
-    """Tally f_i, the number of vertices of degree i, for i = 0..n-1."""
-    counts = [0] * g.n
-    for d in degrees(g):
-        counts[d] += 1
-    return FrequencySequence(tuple(counts))
+    """f_i, the number of vertices of degree i, for i = 0..n-1 (cached on g)."""
+    return g.frequency

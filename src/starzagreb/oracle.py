@@ -21,7 +21,7 @@ from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows
-from .graph import FrequencySequence, Graph, degrees, frequency_sequence, to_graph6
+from .graph import FrequencySequence, Graph, to_graph6
 from .star import (
     StarSequence,
     alternating_moment,
@@ -43,6 +43,7 @@ from .zagreb import (
 
 __all__ = [
     "MAX_ENUM_N",
+    "MAX_BRUTEFORCE_N",
     "TheoremCheck",
     "TheoremResult",
     "ErratumNote",
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 MAX_ENUM_N = 7
+# verify_all_identities counts stars over every vertex subset: about 2 s for
+# one graph at n = 20, and about five times longer per two more vertices.
+MAX_BRUTEFORCE_N = 20
 
 
 def count_stars_bruteforce(g: Graph, k: int) -> int:
@@ -294,13 +298,12 @@ def _recurrence_index_note(g: Graph, p_max: int) -> ErratumNote:
     return ErratumNote("recurrence_index_base", description, False, None)
 
 
-def _profile_part(g: Graph, f: FrequencySequence, p_max: int, m_max: int) -> _ProfileVerdict:
-    """Every check of verify_all_identities that reads g only through f.
-
-    g may be any graph whose frequency sequence is f; the results are the
-    same for all of them.
+def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
+    """Every check of verify_all_identities that reads g only through its
+    frequency sequence f; the results are the same for every graph with
+    that f.
     """
-    n = g.n
+    n, f = g.n, g.frequency
     s = star_sequence(g)
     leading = []
 
@@ -383,17 +386,10 @@ def _profile_part(g: Graph, f: FrequencySequence, p_max: int, m_max: int) -> _Pr
 
 
 def _report(
-    g: Graph,
-    degs: Sequence[int] | None,
-    verdict: _ProfileVerdict,
-    p_max: int,
-    m_max: int,
-    graph_id: str,
+    g: Graph, verdict: _ProfileVerdict, p_max: int, m_max: int, graph_id: str
 ) -> TheoremReport:
     """Run the per-graph checks on g and merge them with its profile's verdict."""
-    edge_sum = TheoremCheck(
-        "edge_sum", inverse_degree_edge_sum(g, degs) - verdict.non_isolated
-    )
+    edge_sum = TheoremCheck("edge_sum", inverse_degree_edge_sum(g) - verdict.non_isolated)
     # Subset-enumeration star counts against the degree formula.
     bruteforce = tuple(
         TheoremCheck(f"k={k}", count_stars_bruteforce(g, k) - verdict.stars.entry(k))
@@ -429,13 +425,20 @@ def verify_all_identities(
 
     All comparisons are exact and every residual is (claimed - ground
     truth).  Failures land in the report, not in exceptions; two runs over
-    the same graph produce identical reports.
+    the same graph produce identical reports.  Graphs with more than
+    MAX_BRUTEFORCE_N vertices are refused with ValueError, since the
+    brute-force star counts visit all 2^n vertex subsets.
     """
     _check_limits(p_max, m_max)
-    verdict = _profile_part(g, frequency_sequence(g), p_max, m_max)
+    if g.n > MAX_BRUTEFORCE_N:
+        raise ValueError(
+            f"n = {g.n} is above the brute-force limit of {MAX_BRUTEFORCE_N} vertices: "
+            "verify counts stars over all 2^n vertex subsets"
+        )
+    verdict = _profile_part(g, p_max, m_max)
     if not graph_id:
         graph_id = to_graph6(g) if g.n <= 62 else f"n={g.n},m={g.m}"
-    return _report(g, None, verdict, p_max, m_max, graph_id)
+    return _report(g, verdict, p_max, m_max, graph_id)
 
 
 def sweep_reports(
@@ -456,24 +459,19 @@ def sweep_reports(
         stop = nmasks
     if not 0 <= start <= stop <= nmasks:
         raise ValueError(f"mask range [{start}, {stop}) out of range for n = {n}")
-    verdicts: dict[tuple[int, ...], _ProfileVerdict] = {}
+    verdicts: dict[FrequencySequence, _ProfileVerdict] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
     for mask in range(start, stop):
         g = _graph_from_mask(n, pairs, mask)
-        degs = degrees(g)
-        counts = [0] * n
-        for d in degs:
-            counts[d] += 1
-        key = tuple(counts)
-        verdict = verdicts.get(key)
+        verdict = verdicts.get(g.frequency)
         if verdict is None:
-            verdict = _profile_part(g, FrequencySequence(key), p_max, m_max)
+            verdict = _profile_part(g, p_max, m_max)
             verdict = replace(
                 verdict,
                 leading=tuple(results.setdefault(r, r) for r in verdict.leading),
                 trailing=tuple(results.setdefault(r, r) for r in verdict.trailing),
             )
-            verdicts[key] = verdict
-        yield _report(g, degs, verdict, p_max, m_max, f"n={n}:mask={mask}")
+            verdicts[g.frequency] = verdict
+        yield _report(g, verdict, p_max, m_max, f"n={n}:mask={mask}")

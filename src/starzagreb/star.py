@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 from .combinatorics import binomial, surjection_row
-from .graph import FrequencySequence, Graph, degrees
+from .graph import FrequencySequence, Graph
 
 __all__ = [
     "StarSequence",
@@ -67,6 +67,18 @@ class StarSequence:
         """2*S_1, the first entry of the inversion-ready sequence."""
         return 2 * self.s1
 
+    @cached_property
+    def top(self) -> int:
+        """The largest k with S_k != 0, or 0 when every S_k is zero.
+
+        For the star counts of a graph this is the maximum degree, and every
+        sum over S_k can stop there.
+        """
+        for k in range(len(self.higher) + 1, 1, -1):
+            if self.higher[k - 2]:
+                return k
+        return 1 if self.s1 else 0
+
     def entry(self, k: int) -> int:
         """S_k; zero for every k >= n."""
         if k < 1:
@@ -102,7 +114,7 @@ def star_sequence(g: Graph) -> StarSequence:
     S_1 is the edge count; for k >= 2 a K_{1,k} subgraph has a unique
     center, so S_k = sum_v C(deg(v), k).
     """
-    degs = degrees(g)
+    degs = g.vertex_degrees
     higher = tuple(sum(binomial(d, k) for d in degs) for k in range(2, g.n))
     return StarSequence(n=g.n, s1=g.m, higher=higher)
 
@@ -132,17 +144,17 @@ def frequency_from_star(s: StarSequence) -> FrequencySequence:
     degree-one count picks up the doubled first entry:
     f_1 = 2*S_1 + sum_{k>=2} (-1)^(k-1) k S_k.  Whatever vertex count is
     left over is f_0.  Any negative intermediate means the input matches
-    no simple graph.
+    no simple graph.  S_k = 0 past s.top, so both sums stop there.
     """
-    n = s.n
+    n, top = s.n, s.top
     counts = [0] * n
-    for i in range(2, n):
+    for i in range(2, top + 1):
         counts[i] = sum(
-            (-1) ** (k - i) * binomial(k, i) * s.entry(k) for k in range(i, n)
+            (-1) ** (k - i) * binomial(k, i) * s.entry(k) for k in range(i, top + 1)
         )
     if n >= 2:
         counts[1] = s.adjusted_first + sum(
-            (-1) ** (k - 1) * k * s.entry(k) for k in range(2, n)
+            (-1) ** (k - 1) * k * s.entry(k) for k in range(2, top + 1)
         )
     counts[0] = n - sum(counts[1:])
     for i, c in enumerate(counts):
@@ -159,7 +171,7 @@ def alternating_moment(s: StarSequence, m: int) -> int:
     if m < 0:
         raise ValueError("moment exponent must be non-negative")
     return s.adjusted_first + sum(
-        (-1) ** (i - 1) * i**m * s.entry(i) for i in range(2, s.n)
+        (-1) ** (i - 1) * i**m * s.entry(i) for i in range(2, s.top + 1)
     )
 
 
@@ -177,16 +189,14 @@ def moment_identity_rhs(f: FrequencySequence, m: int) -> int:
     return sum((-1) ** (k - 1) * row[k] * f.counts[k] for k in range(1, len(row)))
 
 
-def inverse_degree_edge_sum(g: Graph, degs: Sequence[int] | None = None) -> Fraction:
+def inverse_degree_edge_sum(g: Graph) -> Fraction:
     """sum over edges uv of (1/deg(u) + 1/deg(v)), as an exact rational.
 
     Equals n - f_0: each non-isolated vertex v contributes deg(v) terms of
     1/deg(v), one per incident edge.  The terms are summed edge by edge as
     integers over L, the lcm of the nonzero degrees, and divided once.
-    degs, when given, must be degrees(g).
     """
-    if degs is None:
-        degs = degrees(g)
+    degs = g.vertex_degrees
     lcm = math.lcm(*(d for d in degs if d))
     return Fraction(sum(lcm // degs[u] + lcm // degs[v] for u, v in g.edges), lcm)
 
@@ -209,17 +219,10 @@ def classify(s: StarSequence) -> Classification:
     if s.n < 2:
         raise ValueError("classification needs at least two vertices")
     n = s.n
-    if (
-        s.s1 == n - 1
-        and s.entry(2) == n - 2
-        and all(s.entry(i) == 0 for i in range(3, n))
-    ):
+    if s.s1 == n - 1 and s.entry(2) == n - 2 and s.top <= 2:
         return Classification("path")
-    k = 0
-    for i in range(2, n):
-        if s.entry(i) != 0:
-            k = i
-    if k == 0:
+    k = s.top
+    if k < 2:
         if s.s1 > 0 and s.adjusted_first == n:
             return Classification("regular", 1)
         return Classification("other")

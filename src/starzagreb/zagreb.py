@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows, surjection_row
-from .graph import Graph, degrees
+from .graph import Graph
 from .star import StarSequence
 
 __all__ = [
@@ -29,24 +29,24 @@ __all__ = [
 
 
 def zagreb_direct(g: Graph, p: int) -> int:
-    """sum_v deg(v)^p with 0^0 = 1, so Z_0 = n and Z_1 = 2m."""
+    """sum_d f_d d^p over the distinct degrees d, with 0^0 = 1, so Z_0 = n
+    and Z_1 = 2m."""
     if p < 0:
         raise ValueError("exponent must be a non-negative integer")
-    return sum(d**p for d in degrees(g))
+    return sum(c * d**p for d, c in enumerate(g.frequency.counts) if c)
 
 
 def zagreb_from_stars(s: StarSequence, p: int) -> int:
     """Z_p from star counts: 2*S_1 + sum_{i=2..p} i! {p, i} S_i.
 
-    Only i up to min(p, largest i with S_i != 0) can contribute, which is
-    min(p, max degree) for a graph, so the surjection row stops there.
+    Only i up to min(p, s.top) can contribute, which is min(p, max degree)
+    for a graph, so the surjection row stops there.
     Valid for p >= 1 only.  At p = 0 the star route would collapse to 2m
     instead of n, so that case is refused; use zagreb_direct.
     """
     if p < 1:
         raise ValueError("star route needs p >= 1; use zagreb_direct for p = 0")
-    top = max((i for i, x in enumerate(s.higher, start=2) if x), default=1)
-    row = surjection_row(p, min(p, top))
+    row = surjection_row(p, min(p, s.top))
     return s.adjusted_first + sum(row[i] * s.entry(i) for i in range(2, len(row)))
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import starzagreb.cli as cli
+import starzagreb.oracle as oracle
 from starzagreb.cli import main
 from starzagreb.graph import to_graph6
 from starzagreb.oracle import TheoremCheck, TheoremReport, TheoremResult
@@ -316,6 +317,39 @@ def test_verify_graph6_batch_with_bad_line(tmp_path, capsys):
     assert types == ["report", "error", "report", "summary"]
     assert records[-1]["graphs"] == 2
     assert records[-1]["passed"] is True
+
+
+def test_verify_refuses_k161_edge_list(tmp_path, capsys, monkeypatch):
+    def never(g, k):
+        raise AssertionError("brute force started on a refused graph")
+
+    monkeypatch.setattr(oracle, "count_stars_bruteforce", never)
+    src = write(tmp_path, "k161.txt", "62\n" + "".join(f"0 {i}\n" for i in range(1, 62)))
+    assert main(["verify", src]) == 2
+    captured = capsys.readouterr()
+    assert "summary: graphs=0 checks=0 failures=0 " in captured.out
+    assert f"error: {src}: n = 62 is above the brute-force limit of 20 " in captured.err
+
+
+def test_verify_graph6_refuses_only_the_oversized_line(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path, "mixed.g6", f"{to_graph6(path_graph(21))}\nBw\n")
+    real = oracle.count_stars_bruteforce
+
+    def small_only(g, k):
+        assert g.n <= 20, "brute force started on a refused graph"
+        return real(g, k)
+
+    monkeypatch.setattr(oracle, "count_stars_bruteforce", small_only)
+    rc = main(["verify", src, "--json"])
+    captured = capsys.readouterr()
+    records = json_lines(captured.out)
+    assert rc == 2
+    assert [r["type"] for r in records] == ["error", "report", "summary"]
+    assert records[0]["identifier"] == f"{src}:1"
+    assert "n = 21 is above the brute-force limit of 20" in records[0]["error"]
+    assert records[1]["identifier"] == f"{src}:2" and records[1]["passed"] is True
+    assert records[2]["graphs"] == 1 and records[2]["passed"] is True
+    assert f"error: {src}:1: n = 21 " in captured.err
 
 
 def test_verify_jobs_output_identical(capsys):

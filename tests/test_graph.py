@@ -6,6 +6,8 @@ the format description, independently of the library's own encoder.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -189,6 +191,36 @@ def test_frequency_counts_degrees(g):
     degs = degrees(g)
     for i in range(g.n):
         assert f.f(i) == degs.count(i)
+
+
+@given(graphs(max_n=12))
+def test_cached_degrees_and_frequency_match_a_recount(g):
+    recount = [sum(w in e for e in g.edges) for w in range(g.n)]
+    assert degrees(g) == recount
+    assert frequency_sequence(g).counts == tuple(recount.count(d) for d in range(g.n))
+
+
+def test_degrees_returns_a_fresh_list():
+    g = path(4)
+    first = degrees(g)
+    first[0] = 99
+    first.append(7)
+    assert degrees(g) == [1, 2, 2, 1]
+    assert frequency_sequence(g).counts == (0, 2, 2, 0)
+
+
+@given(graphs(max_n=8))
+def test_filled_cache_leaves_equality_hash_and_pickle_alone(g):
+    cached = Graph(g.n, g.edges)
+    degrees(cached)
+    frequency_sequence(cached)
+    fresh = Graph(g.n, g.edges)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    restored = pickle.loads(pickle.dumps(cached))
+    assert restored == fresh and hash(restored) == hash(fresh)
+    assert degrees(restored) == degrees(fresh)
+    assert frequency_sequence(restored) == frequency_sequence(fresh)
 
 
 @given(graphs(max_n=8))

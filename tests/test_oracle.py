@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import starzagreb.oracle as oracle
 from starzagreb.combinatorics import falling_factorial_coeffs
 from starzagreb.graph import Graph, to_graph6
 from starzagreb.star import star_sequence
 from starzagreb.oracle import (
+    MAX_BRUTEFORCE_N,
     MAX_ENUM_N,
     all_labeled_graphs,
     count_stars_bruteforce,
@@ -227,3 +229,13 @@ def test_residual_semantics():
     report = verify_all_identities(k2_plus_isolated())
     assert report.passed
     assert zagreb_direct(k2_plus_isolated(), 0) == 3
+
+
+def test_verify_refuses_graphs_past_the_bruteforce_limit(monkeypatch):
+    def never(g, k):
+        raise AssertionError("brute force started on a refused graph")
+
+    monkeypatch.setattr(oracle, "count_stars_bruteforce", never)
+    n = MAX_BRUTEFORCE_N + 1
+    with pytest.raises(ValueError, match=f"n = {n} .* limit of {MAX_BRUTEFORCE_N} "):
+        verify_all_identities(path(n))

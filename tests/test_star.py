@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import starzagreb.star as star_module
 from starzagreb.combinatorics import binomial
 from starzagreb.graph import FrequencySequence, degrees, frequency_sequence
 from starzagreb.star import (
@@ -153,7 +154,26 @@ def test_inverse_degree_edge_sum_matches_per_edge_fractions(g):
         (Fraction(1, degs[u]) + Fraction(1, degs[v]) for u, v in g.edges), Fraction(0)
     )
     assert inverse_degree_edge_sum(g) == expected
-    assert inverse_degree_edge_sum(g, degs) == expected
+
+
+@given(graphs(max_n=10))
+def test_top_is_the_maximum_degree(g):
+    assert star_sequence(g).top == max(degrees(g))
+
+
+def test_frequency_from_star_stops_at_the_top_star(monkeypatch):
+    g = path(1000)
+    s = star_sequence(g)
+    calls = []
+
+    def counting_binomial(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(star_module, "binomial", counting_binomial)
+    assert frequency_from_star(s) == frequency_sequence(g)
+    # Only S_1 and S_2 are nonzero on a path, so only C(2, 2) is needed.
+    assert len(calls) <= 3
 
 
 def test_classify_named_families():

@@ -145,7 +145,7 @@ def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypat
     "name, theorem, label, hit",
     [
         ("count_stars_bruteforce", "star_bruteforce", "k=1", lambda k: k == 1),
-        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda degs: True),
+        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda: True),
     ],
 )
 def test_per_graph_fault_fails_exactly_that_graph(
@@ -157,8 +157,8 @@ def test_per_graph_fault_fails_exactly_that_graph(
     assert len(masks_with_profile(4, frequency_sequence(target).counts)) == 4
     real = getattr(oracle, name)
 
-    def faulty(g, arg):
-        return real(g, arg) + (g == target and hit(arg))
+    def faulty(g, *args):
+        return real(g, *args) + (g == target and hit(*args))
 
     monkeypatch.setattr(oracle, name, faulty)
     rc, out = sweep_stdout(capsys, 4)
