@@ -33,6 +33,7 @@ from .oracle import (
     count_stars_bruteforce,
     labeled_graph_from_mask,
     series_expand_rational,
+    star_counts_bruteforce,
     verify_all_identities,
 )
 from .star import (
@@ -100,6 +101,7 @@ __all__ = [
     "ErratumNote",
     "TheoremReport",
     "count_stars_bruteforce",
+    "star_counts_bruteforce",
     "all_labeled_graphs",
     "labeled_graph_from_mask",
     "series_expand_rational",

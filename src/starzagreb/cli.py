@@ -507,18 +507,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         errata_hits += graph_errata
         print(text)
 
+    # A run that verified nothing because every input was refused or
+    # unreadable has not passed.
+    nothing_verified = graphs == 0 and had_error
     summary = {
         "type": "summary",
         "graphs": graphs,
         "checks": checks,
         "failures": failures,
         "errata_observations": errata_hits,
-        "passed": failures == 0,
+        "passed": failures == 0 and not nothing_verified,
     }
     if args.json:
         print(json.dumps(summary))
     else:
-        status = "PASS" if failures == 0 else "FAIL"
+        status = "FAIL" if failures else "ERROR" if nothing_verified else "PASS"
         print(
             f"summary: graphs={graphs} checks={checks} failures={failures} "
             f"errata_observations={errata_hits} -> {status}"

@@ -1,10 +1,11 @@
 """Brute-force ground truth and the all-identities verifier.
 
-Star counts are recounted here by explicit subset enumeration, labeled
-graphs are enumerated exhaustively, and the generating function is expanded
-by exact long division.  verify_all_identities replays every identity in
-the library against those independent routes; a report that says pass has
-every residual identically zero, and disputed sign or index variants are
+Star counts are recounted here by enumeration, in one pass per center over
+the subsets of its neighbourhood.  Labeled graphs are enumerated
+exhaustively, and the generating function is expanded by exact long
+division.  verify_all_identities replays every identity in the library
+against those independent routes; a report that says pass has every
+residual identically zero, and disputed sign or index variants are
 evaluated both ways and recorded as erratum notes instead of failures.
 sweep_reports yields the same reports for a range of labeled graphs,
 evaluating the identities that read a graph only through its frequency
@@ -49,6 +50,7 @@ __all__ = [
     "ErratumNote",
     "TheoremReport",
     "count_stars_bruteforce",
+    "star_counts_bruteforce",
     "all_labeled_graphs",
     "labeled_graph_from_mask",
     "series_expand_rational",
@@ -57,34 +59,40 @@ __all__ = [
 ]
 
 MAX_ENUM_N = 7
-# verify_all_identities counts stars over every vertex subset: about 2 s for
-# one graph at n = 20, and about five times longer per two more vertices.
+# verify_all_identities counts stars by walking every subset of each
+# vertex's neighbourhood, up to n * 2^(n-1) subsets: about 1.4 s for K_20,
+# the worst case, and about 4.4 times longer per two more vertices.
 MAX_BRUTEFORCE_N = 20
 
 
-def count_stars_bruteforce(g: Graph, k: int) -> int:
-    """Count K_{1,k} subgraphs by enumerating (k+1)-subsets and centers.
+def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
+    """(S_1, ..., S_{n-1}) counted by enumerating every star of g.
 
-    No binomial coefficients involved: a subset contributes once per member
-    adjacent to all the others.  For k = 1 the two center choices of an
-    edge describe the same subgraph, so the ordered count is halved.
+    A K_{1,k} is a center plus k of its neighbours, so each vertex's
+    non-empty neighbour subsets are walked once and bucketed by size.  No
+    binomial coefficients and no degree tallies are involved: the
+    neighbourhoods come from the edges alone.  For k = 1 the two center
+    choices of an edge describe the same subgraph, so that count is halved.
     """
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    counts = [0] * (g.n + 1)
+    for mask in nbrs:
+        sub = mask
+        while sub:
+            counts[sub.bit_count()] += 1
+            sub = (sub - 1) & mask
+    counts[1] //= 2
+    return tuple(counts[1:g.n])
+
+
+def count_stars_bruteforce(g: Graph, k: int) -> int:
+    """The number of K_{1,k} subgraphs of g, from star_counts_bruteforce."""
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"star size k must be in [1, n-1]; got k = {k} with n = {g.n}")
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    ordered = 0
-    for subset in combinations(range(g.n), k + 1):
-        mask = 0
-        for w in subset:
-            mask |= 1 << w
-        for c in subset:
-            leaves = mask ^ (1 << c)
-            if adj[c] & leaves == leaves:
-                ordered += 1
-    return ordered // 2 if k == 1 else ordered
+    return star_counts_bruteforce(g)[k - 1]
 
 
 def _vertex_pairs(n: int) -> list[tuple[int, int]]:
@@ -197,11 +205,13 @@ class TheoremReport:
     theorems: tuple[TheoremResult, ...]
     errata: tuple[ErratumNote, ...]
 
-    @property
+    # Cached, as TheoremResult.passed is: rendering a report and tallying
+    # the verify summary each read both.
+    @cached_property
     def passed(self) -> bool:
         return all(t.passed for t in self.theorems)
 
-    @property
+    @cached_property
     def check_count(self) -> int:
         return sum(len(t.checks) for t in self.theorems)
 
@@ -390,10 +400,10 @@ def _report(
 ) -> TheoremReport:
     """Run the per-graph checks on g and merge them with its profile's verdict."""
     edge_sum = TheoremCheck("edge_sum", inverse_degree_edge_sum(g) - verdict.non_isolated)
-    # Subset-enumeration star counts against the degree formula.
+    # Enumerated star counts against the degree formula.
     bruteforce = tuple(
-        TheoremCheck(f"k={k}", count_stars_bruteforce(g, k) - verdict.stars.entry(k))
-        for k in range(1, g.n)
+        TheoremCheck(f"k={k}", count - verdict.stars.entry(k))
+        for k, count in enumerate(star_counts_bruteforce(g), start=1)
     )
     return TheoremReport(
         graph_id=graph_id,
@@ -427,13 +437,13 @@ def verify_all_identities(
     truth).  Failures land in the report, not in exceptions; two runs over
     the same graph produce identical reports.  Graphs with more than
     MAX_BRUTEFORCE_N vertices are refused with ValueError, since the
-    brute-force star counts visit all 2^n vertex subsets.
+    brute-force star counts visit up to n * 2^(n-1) neighbour subsets.
     """
     _check_limits(p_max, m_max)
     if g.n > MAX_BRUTEFORCE_N:
         raise ValueError(
             f"n = {g.n} is above the brute-force limit of {MAX_BRUTEFORCE_N} vertices: "
-            "verify counts stars over all 2^n vertex subsets"
+            "verify counts stars over up to n * 2^(n-1) neighbour subsets"
         )
     verdict = _profile_part(g, p_max, m_max)
     if not graph_id:

@@ -108,22 +108,31 @@ class Classification:
         return f"regular({self.degree})" if self.kind == "regular" else self.kind
 
 
+def _max_degree(f: FrequencySequence) -> int:
+    """The largest i with f_i != 0 (counts sum to n >= 1, so one exists)."""
+    return max(i for i, c in enumerate(f.counts) if c)
+
+
 def star_sequence(g: Graph) -> StarSequence:
     """Count stars directly from vertex degrees.
 
     S_1 is the edge count; for k >= 2 a K_{1,k} subgraph has a unique
-    center, so S_k = sum_v C(deg(v), k).
+    center, so S_k = sum_v C(deg(v), k).  S_k = 0 past the maximum degree,
+    so the sums stop there.
     """
     degs = g.vertex_degrees
-    higher = tuple(sum(binomial(d, k) for d in degs) for k in range(2, g.n))
-    return StarSequence(n=g.n, s1=g.m, higher=higher)
+    higher = [0] * max(0, g.n - 2)
+    for k in range(2, max(degs) + 1):
+        higher[k - 2] = sum(binomial(d, k) for d in degs)
+    return StarSequence(n=g.n, s1=g.m, higher=tuple(higher))
 
 
 def star_from_frequency(f: FrequencySequence) -> StarSequence:
     """Star counts from a frequency sequence.
 
     2*S_1 = sum_i i*f_i (so the weighted sum must be even) and
-    S_k = sum_{i>=k} C(i, k) * f_i for k >= 2.
+    S_k = sum_{i>=k} C(i, k) * f_i for k >= 2.  f_i = 0 past the maximum
+    degree, so both the sums and the nonzero S_k stop there.
     """
     n = f.n
     doubled = sum(i * fi for i, fi in enumerate(f.counts))
@@ -131,10 +140,11 @@ def star_from_frequency(f: FrequencySequence) -> StarSequence:
         raise InconsistentSequenceError(
             "sum of i * f_i is odd; no graph has this frequency sequence"
         )
-    higher = tuple(
-        sum(binomial(i, k) * f.counts[i] for i in range(k, n)) for k in range(2, n)
-    )
-    return StarSequence(n=n, s1=doubled // 2, higher=higher)
+    delta = _max_degree(f)
+    higher = [0] * max(0, n - 2)
+    for k in range(2, delta + 1):
+        higher[k - 2] = sum(binomial(i, k) * f.counts[i] for i in range(k, delta + 1))
+    return StarSequence(n=n, s1=doubled // 2, higher=tuple(higher))
 
 
 def frequency_from_star(s: StarSequence) -> FrequencySequence:
@@ -184,8 +194,7 @@ def moment_identity_rhs(f: FrequencySequence, m: int) -> int:
     """
     if m < 1:
         raise ValueError("moment exponent must be at least 1 on the frequency side")
-    delta = max(k for k, c in enumerate(f.counts) if c)
-    row = surjection_row(m, min(m, delta))
+    row = surjection_row(m, min(m, _max_degree(f)))
     return sum((-1) ** (k - 1) * row[k] * f.counts[k] for k in range(1, len(row)))
 
 

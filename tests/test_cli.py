@@ -320,10 +320,10 @@ def test_verify_graph6_batch_with_bad_line(tmp_path, capsys):
 
 
 def test_verify_refuses_k161_edge_list(tmp_path, capsys, monkeypatch):
-    def never(g, k):
+    def never(g):
         raise AssertionError("brute force started on a refused graph")
 
-    monkeypatch.setattr(oracle, "count_stars_bruteforce", never)
+    monkeypatch.setattr(oracle, "star_counts_bruteforce", never)
     src = write(tmp_path, "k161.txt", "62\n" + "".join(f"0 {i}\n" for i in range(1, 62)))
     assert main(["verify", src]) == 2
     captured = capsys.readouterr()
@@ -331,15 +331,44 @@ def test_verify_refuses_k161_edge_list(tmp_path, capsys, monkeypatch):
     assert f"error: {src}: n = 62 is above the brute-force limit of 20 " in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("k161.txt", "62\n" + "".join(f"0 {i}\n" for i in range(1, 62))),
+        ("unparsable.g6", "###\n"),
+    ],
+    ids=["refused_edge_list", "unparsable_graph6"],
+)
+def test_verify_summary_is_error_when_nothing_was_verified(tmp_path, capsys, name, text):
+    src = write(tmp_path, name, text)
+    assert main(["verify", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "summary: graphs=0 checks=0 failures=0 errata_observations=0 -> ERROR\n"
+    )
+    assert captured.err.startswith(f"error: {src}")
+    assert main(["verify", src, "--json"]) == 2
+    records = json_lines(capsys.readouterr().out)
+    assert [r["type"] for r in records] == ["error", "summary"]
+    assert records[1] == {
+        "type": "summary",
+        "graphs": 0,
+        "checks": 0,
+        "failures": 0,
+        "errata_observations": 0,
+        "passed": False,
+    }
+
+
 def test_verify_graph6_refuses_only_the_oversized_line(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "mixed.g6", f"{to_graph6(path_graph(21))}\nBw\n")
-    real = oracle.count_stars_bruteforce
+    real = oracle.star_counts_bruteforce
 
-    def small_only(g, k):
+    def small_only(g):
         assert g.n <= 20, "brute force started on a refused graph"
-        return real(g, k)
+        return real(g)
 
-    monkeypatch.setattr(oracle, "count_stars_bruteforce", small_only)
+    monkeypatch.setattr(oracle, "star_counts_bruteforce", small_only)
     rc = main(["verify", src, "--json"])
     captured = capsys.readouterr()
     records = json_lines(captured.out)

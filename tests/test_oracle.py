@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given
+
+import starzagreb.combinatorics as combinatorics_module
 import starzagreb.oracle as oracle
+import starzagreb.star as star_module
 from starzagreb.combinatorics import falling_factorial_coeffs
 from starzagreb.graph import Graph, to_graph6
 from starzagreb.star import star_sequence
@@ -15,10 +20,36 @@ from starzagreb.oracle import (
     count_stars_bruteforce,
     labeled_graph_from_mask,
     series_expand_rational,
+    star_counts_bruteforce,
     verify_all_identities,
 )
 from starzagreb.zagreb import genfunc_numerator, zagreb_direct
 from tests.named import complete, cycle, edgeless, k2_plus_isolated, path, star
+from tests.strategies import graphs
+
+
+def stars_by_subsets(g: Graph, k: int) -> int:
+    """Reference count of K_{1,k} subgraphs: every (k+1)-subset of vertices,
+    each member tried as the center.  For k = 1 the two center choices of
+    an edge describe the same subgraph, so the ordered count is halved."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    ordered = 0
+    for subset in combinations(range(g.n), k + 1):
+        mask = 0
+        for w in subset:
+            mask |= 1 << w
+        for c in subset:
+            leaves = mask ^ (1 << c)
+            if adj[c] & leaves == leaves:
+                ordered += 1
+    return ordered // 2 if k == 1 else ordered
+
+
+def reference_counts(g: Graph) -> tuple[int, ...]:
+    return tuple(stars_by_subsets(g, k) for k in range(1, g.n))
 
 
 def test_count_stars_bruteforce_frozen():
@@ -50,6 +81,34 @@ def test_bruteforce_matches_degree_formula_exhaustively():
             s = star_sequence(g)
             for k in range(1, n):
                 assert count_stars_bruteforce(g, k) == s.entry(k), (g, k)
+
+
+def test_star_counts_equal_subset_reference_exhaustively():
+    for n in range(1, 7):
+        for g in all_labeled_graphs(n):
+            assert star_counts_bruteforce(g) == reference_counts(g), g
+
+
+@given(graphs(max_n=12))
+def test_star_counts_equal_subset_reference(g):
+    counts = star_counts_bruteforce(g)
+    assert counts == reference_counts(g)
+    for k in range(1, g.n):
+        assert count_stars_bruteforce(g, k) == counts[k - 1]
+
+
+def test_star_counts_read_only_the_edges(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute force read the degree formula or tally")
+
+    monkeypatch.setattr(combinatorics_module, "binomial", refuse)
+    monkeypatch.setattr(star_module, "binomial", refuse)
+    # degrees() and frequency_sequence() read these two caches.
+    monkeypatch.setattr(Graph, "vertex_degrees", property(refuse))
+    monkeypatch.setattr(Graph, "frequency", property(refuse))
+    assert star_counts_bruteforce(star(3)) == (3, 3, 1)
+    assert star_counts_bruteforce(complete(5)) == (10, 30, 20, 5)
+    assert star_counts_bruteforce(edgeless(1)) == ()
 
 
 def test_all_labeled_graphs_counts():
@@ -232,10 +291,10 @@ def test_residual_semantics():
 
 
 def test_verify_refuses_graphs_past_the_bruteforce_limit(monkeypatch):
-    def never(g, k):
+    def never(g):
         raise AssertionError("brute force started on a refused graph")
 
-    monkeypatch.setattr(oracle, "count_stars_bruteforce", never)
+    monkeypatch.setattr(oracle, "star_counts_bruteforce", never)
     n = MAX_BRUTEFORCE_N + 1
     with pytest.raises(ValueError, match=f"n = {n} .* limit of {MAX_BRUTEFORCE_N} "):
         verify_all_identities(path(n))

@@ -161,9 +161,9 @@ def test_top_is_the_maximum_degree(g):
     assert star_sequence(g).top == max(degrees(g))
 
 
-def test_frequency_from_star_stops_at_the_top_star(monkeypatch):
-    g = path(1000)
-    s = star_sequence(g)
+@pytest.fixture
+def binomial_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Every (n, k) the star module passes to binomial, in call order."""
     calls = []
 
     def counting_binomial(n, k):
@@ -171,9 +171,40 @@ def test_frequency_from_star_stops_at_the_top_star(monkeypatch):
         return binomial(n, k)
 
     monkeypatch.setattr(star_module, "binomial", counting_binomial)
+    return calls
+
+
+def test_frequency_from_star_stops_at_the_top_star(binomial_calls):
+    g = path(1000)
+    s = star_sequence(g)
+    binomial_calls.clear()
     assert frequency_from_star(s) == frequency_sequence(g)
     # Only S_1 and S_2 are nonzero on a path, so only C(2, 2) is needed.
-    assert len(calls) <= 3
+    assert len(binomial_calls) <= 3
+
+
+def test_star_sequences_stop_at_the_maximum_degree(binomial_calls):
+    g = path(1000)
+    s = star_sequence(g)
+    assert s.entry(2) == 998 and s.top == 2
+    assert len(binomial_calls) <= 2 * g.n
+    binomial_calls.clear()
+    assert star_from_frequency(frequency_sequence(g)) == s
+    assert len(binomial_calls) <= 2 * g.n
+
+
+@given(graphs(max_n=12))
+def test_star_sequences_equal_the_untruncated_formula(g):
+    degs = degrees(g)
+    f = frequency_sequence(g).counts
+    by_vertex = tuple(sum(binomial(d, k) for d in degs) for k in range(2, g.n))
+    by_frequency = tuple(
+        sum(binomial(i, k) * f[i] for i in range(k, g.n)) for k in range(2, g.n)
+    )
+    expected = StarSequence(g.n, g.m, by_vertex)
+    assert by_frequency == by_vertex
+    assert star_sequence(g) == expected
+    assert star_from_frequency(frequency_sequence(g)) == expected
 
 
 def test_classify_named_families():

@@ -142,14 +142,14 @@ def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "name, theorem, label, hit",
+    "name, theorem, label, bump",
     [
-        ("count_stars_bruteforce", "star_bruteforce", "k=1", lambda k: k == 1),
-        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda: True),
+        ("star_counts_bruteforce", "star_bruteforce", "k=1", lambda c: (c[0] + 1, *c[1:])),
+        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + 1),
     ],
 )
 def test_per_graph_fault_fails_exactly_that_graph(
-    capsys, monkeypatch, name, theorem, label, hit
+    capsys, monkeypatch, name, theorem, label, bump
 ):
     # Mask 11 is a triangle plus an isolated vertex; three other labeled
     # graphs share its degree profile and must still pass.
@@ -157,8 +157,8 @@ def test_per_graph_fault_fails_exactly_that_graph(
     assert len(masks_with_profile(4, frequency_sequence(target).counts)) == 4
     real = getattr(oracle, name)
 
-    def faulty(g, *args):
-        return real(g, *args) + (g == target and hit(*args))
+    def faulty(g):
+        return bump(real(g)) if g == target else real(g)
 
     monkeypatch.setattr(oracle, name, faulty)
     rc, out = sweep_stdout(capsys, 4)
