@@ -605,6 +605,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large for the available memory", file=sys.stderr)
+        return 2
     finally:
         if old_limit is not None:
             sys.set_int_max_str_digits(old_limit)

@@ -7,9 +7,11 @@ division.  verify_all_identities replays every identity in the library
 against those independent routes; a report that says pass has every
 residual identically zero, and disputed sign or index variants are
 evaluated both ways and recorded as erratum notes instead of failures.
-sweep_reports yields the same reports for a range of labeled graphs,
-evaluating the identities that read a graph only through its frequency
-sequence once per distinct sequence.
+The identities that read a graph only through its frequency sequence
+compute their ground truth once: one table of direct Z_p values and one
+row of each moment side, shared by every check and note.  sweep_reports
+yields the same reports for a range of labeled graphs, evaluating those
+identities once per distinct sequence.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .star import (
 )
 from .zagreb import (
     genfunc_numerator,
-    recurrence_coeffs,
     verify_recurrence,
     zagreb_by_recurrence,
     zagreb_direct,
@@ -231,14 +232,14 @@ class _ProfileVerdict:
     errata: tuple[ErratumNote, ...]
 
 
-def _moment_sign_note(s, f, m_max: int) -> ErratumNote:
+def _moment_sign_note(lhs: Sequence[int], rhs: Sequence[int]) -> ErratumNote:
+    """lhs[m] is the alternating moment for m = 0..m_max, rhs[m-1] the
+    frequency-side sum for m = 1..m_max."""
     description = (
         "moment identity right side: sign variant (-1)^k versus (-1)^(k-1) "
         "on the frequency-side sum; only the latter matches the star side"
     )
-    for m_exp in range(1, m_max + 1):
-        lhs = alternating_moment(s, m_exp)
-        corrected = moment_identity_rhs(f, m_exp)
+    for m_exp, corrected in enumerate(rhs, start=1):
         flipped = -corrected
         if flipped != corrected:
             return ErratumNote(
@@ -247,7 +248,7 @@ def _moment_sign_note(s, f, m_max: int) -> ErratumNote:
                 True,
                 {
                     "m": str(m_exp),
-                    "lhs": str(lhs),
+                    "lhs": str(lhs[m_exp]),
                     "rhs_sign_k": str(flipped),
                     "rhs_sign_k_minus_1": str(corrected),
                 },
@@ -255,25 +256,22 @@ def _moment_sign_note(s, f, m_max: int) -> ErratumNote:
     return ErratumNote("moment_rhs_sign", description, False, None)
 
 
-def _f1_sign_note(s, f) -> ErratumNote:
+def _f1_sign_note(s: StarSequence, f: FrequencySequence) -> ErratumNote:
     description = (
         "degree-one inversion term: sign exponent on k*S_k read as (-1)^(k-1) "
         "versus (-1)^k; the variants split whenever some S_k with k >= 2 is nonzero"
     )
-    f1 = f.f(1)
-    corrected = s.adjusted_first + sum(
-        (-1) ** (k - 1) * k * s.entry(k) for k in range(2, s.n)
-    )
-    flipped = s.adjusted_first + sum(
-        (-1) ** k * k * s.entry(k) for k in range(2, s.n)
-    )
+    # The two readings differ only in the sign of the tail over k >= 2.
+    tail = sum((-1) ** (k - 1) * k * s.entry(k) for k in range(2, s.n))
+    corrected = s.adjusted_first + tail
+    flipped = s.adjusted_first - tail
     if flipped != corrected:
         return ErratumNote(
             "f1_term_sign",
             description,
             True,
             {
-                "f1": str(f1),
+                "f1": str(f.f(1)),
                 "sign_k_minus_1": str(corrected),
                 "sign_k": str(flipped),
             },
@@ -281,19 +279,20 @@ def _f1_sign_note(s, f) -> ErratumNote:
     return ErratumNote("f1_term_sign", description, False, None)
 
 
-def _recurrence_index_note(g: Graph, p_max: int) -> ErratumNote:
+def _recurrence_index_note(n: int, z: Sequence[int], p_max: int) -> ErratumNote:
+    """z holds Z_0..Z_{n+p_max} at least."""
     description = (
         "recurrence coefficient index: s(n+1, n+1-i) tied to the vertex count "
         "versus s(p+1, p+1-i) tied to the exponent; only the former leaves "
         "zero residuals past p = n"
     )
-    n = g.n
-    coeffs = recurrence_coeffs(n)
-    z = [zagreb_direct(g, q) for q in range(n + p_max + 1)]
-    # row holds s(p+1, 0..p+1) and advances one row per exponent.
-    for p, row in zip(range(n + 1, n + p_max + 1), islice(stirling1_rows(), n + 2, None)):
+    # rows yields s(q, 0..q) from q = n+1: first the vertex-count row, then
+    # s(p+1, 0..p+1) for p = n+1, n+2, ..., one row per exponent.
+    rows = islice(stirling1_rows(), n + 1, None)
+    by_n = next(rows)
+    for p, row in zip(range(n + 1, n + p_max + 1), rows):
         by_exponent = z[p] + sum(row[p + 1 - i] * z[p - i] for i in range(1, n + 1))
-        by_vertex_count = z[p] + sum(coeffs[i - 1] * z[p - i] for i in range(1, n + 1))
+        by_vertex_count = z[p] + sum(by_n[n + 1 - i] * z[p - i] for i in range(1, n + 1))
         if by_exponent != by_vertex_count:
             return ErratumNote(
                 "recurrence_index_base",
@@ -312,9 +311,18 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     """Every check of verify_all_identities that reads g only through its
     frequency sequence f; the results are the same for every graph with
     that f.
+
+    The ground truth is computed once per profile: one table of Z_p by
+    direct powers and one row each of the two moment sides.  Every check
+    and erratum note reads those values, while each library route under
+    test is still called on its own.
     """
     n, f = g.n, g.frequency
     s = star_sequence(g)
+    terms = max(p_max + 1, 2 * n + 10)
+    z = [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))]
+    lhs = [alternating_moment(s, m_exp) for m_exp in range(m_max + 1)]
+    rhs = [moment_identity_rhs(f, m_exp) for m_exp in range(1, m_max + 1)]
     leading = []
 
     # Inversion: formula-route star counts against degree counting, and back.
@@ -328,14 +336,9 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     leading.append(TheoremResult("inversion", tuple(checks)))
 
     # Alternating moments against the frequency-side sums.
-    checks = [TheoremCheck("m=0", alternating_moment(s, 0) - sum(f.counts[1:]))]
-    for m_exp in range(1, m_max + 1):
-        checks.append(
-            TheoremCheck(
-                f"m={m_exp}",
-                alternating_moment(s, m_exp) - moment_identity_rhs(f, m_exp),
-            )
-        )
+    checks = [TheoremCheck("m=0", lhs[0] - sum(f.counts[1:]))]
+    for m_exp, right in enumerate(rhs, start=1):
+        checks.append(TheoremCheck(f"m={m_exp}", lhs[m_exp] - right))
     leading.append(TheoremResult("moments", tuple(checks)))
 
     # The isolated-vertex count from stars; its edge-sum sibling is per graph.
@@ -344,20 +347,15 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     trailing = []
     # Star-route Zagreb values against direct powers.
     checks = [
-        TheoremCheck(f"p={p}", zagreb_from_stars(s, p) - zagreb_direct(g, p))
-        for p in range(1, p_max + 1)
+        TheoremCheck(f"p={p}", zagreb_from_stars(s, p) - z[p]) for p in range(1, p_max + 1)
     ]
     trailing.append(TheoremResult("zagreb_from_stars", tuple(checks)))
 
     # Generating function: long-division series against direct values, plus
     # both endpoint coefficients.
     gf = genfunc_numerator(g)
-    terms = max(p_max + 1, 2 * n + 10)
     series = series_expand_rational(gf.numerator, n, terms)
-    checks = [
-        TheoremCheck(f"series_p={p}", series[p] - zagreb_direct(g, p))
-        for p in range(terms)
-    ]
+    checks = [TheoremCheck(f"series_p={p}", series[p] - z[p]) for p in range(terms)]
     checks.append(TheoremCheck("a0", gf.numerator[0] - n))
     checks.append(
         TheoremCheck(
@@ -375,15 +373,13 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
         expected = gf.numerator[n] if item.p == n else 0
         checks.append(TheoremCheck(f"residual_p={item.p}", item.residual - expected))
     for p in range(1, p_max + 1):
-        checks.append(
-            TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - zagreb_direct(g, p))
-        )
+        checks.append(TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - z[p]))
     trailing.append(TheoremResult("recurrence", tuple(checks)))
 
     errata = (
-        _moment_sign_note(s, f, m_max),
+        _moment_sign_note(lhs, rhs),
         _f1_sign_note(s, f),
-        _recurrence_index_note(g, p_max),
+        _recurrence_index_note(n, z, p_max),
     )
     return _ProfileVerdict(
         non_isolated=n - f.isolated,

@@ -117,13 +117,13 @@ def star_sequence(g: Graph) -> StarSequence:
     """Count stars directly from vertex degrees.
 
     S_1 is the edge count; for k >= 2 a K_{1,k} subgraph has a unique
-    center, so S_k = sum_v C(deg(v), k).  S_k = 0 past the maximum degree,
-    so the sums stop there.
+    center, so S_k = sum_v C(deg(v), k).  C(d, k) = 0 for k > d, so each
+    vertex adds only its own row, k = 2..deg(v).
     """
-    degs = g.vertex_degrees
     higher = [0] * max(0, g.n - 2)
-    for k in range(2, max(degs) + 1):
-        higher[k - 2] = sum(binomial(d, k) for d in degs)
+    for d in g.vertex_degrees:
+        for k in range(2, d + 1):
+            higher[k - 2] += binomial(d, k)
     return StarSequence(n=g.n, s1=g.m, higher=tuple(higher))
 
 

@@ -97,6 +97,18 @@ def test_non_utf8_edge_list_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_memory_error_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(identifier, g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "info_record", out_of_memory)
+    rc = main(["info", write(tmp_path, "p2.txt", "2\n0 1\n")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: input too large for the available memory\n"
+    assert "Traceback" not in err
+
+
 def test_oversized_integer_token_is_an_input_error(tmp_path, capsys):
     # The CLI lifts the int-to-str digit limit for output; input tokens
     # beyond the default limit must still be refused, not converted.

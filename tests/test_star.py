@@ -9,7 +9,7 @@ from hypothesis import given
 
 import starzagreb.star as star_module
 from starzagreb.combinatorics import binomial
-from starzagreb.graph import FrequencySequence, degrees, frequency_sequence
+from starzagreb.graph import FrequencySequence, Graph, degrees, frequency_sequence
 from starzagreb.star import (
     InconsistentSequenceError,
     StarSequence,
@@ -191,6 +191,14 @@ def test_star_sequences_stop_at_the_maximum_degree(binomial_calls):
     binomial_calls.clear()
     assert star_from_frequency(frequency_sequence(g)) == s
     assert len(binomial_calls) <= 2 * g.n
+
+
+def test_star_sequence_walks_each_vertex_row(binomial_calls):
+    # A claw on 0..3 plus a disjoint P_4 on 4..7: degrees 3,1,1,1,1,2,2,1.
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7)])
+    assert star_sequence(g) == StarSequence(8, 6, (5, 1, 0, 0, 0, 0))
+    # C(d, k) for k = 2..d only: two for the center, one per P_4 middle.
+    assert sorted(binomial_calls) == [(2, 2), (2, 2), (3, 2), (3, 3)]
 
 
 @given(graphs(max_n=12))

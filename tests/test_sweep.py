@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -12,9 +13,9 @@ import pytest
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
 from starzagreb.cli import main, render_report_line, report_to_dict
-from starzagreb.graph import frequency_sequence
+from starzagreb.graph import FrequencySequence, Graph, frequency_sequence
 from starzagreb.oracle import labeled_graph_from_mask, sweep_reports, verify_all_identities
-from starzagreb.star import frequency_from_star
+from starzagreb.star import StarSequence
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -118,13 +119,88 @@ def masks_with_profile(n: int, counts: tuple[int, ...]) -> set[int]:
     }
 
 
-def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypatch):
-    real = oracle.zagreb_from_stars
+CLAW_STARS = StarSequence(4, 3, (3, 1))
 
-    def off_by_one_on_claws(s, p):
-        return real(s, p) + (frequency_from_star(s).counts == CLAW_PROFILE)
 
-    monkeypatch.setattr(oracle, "zagreb_from_stars", off_by_one_on_claws)
+def is_claw(arg) -> bool:
+    """True when a route's first argument (graph, f or stars) is the claw profile."""
+    if isinstance(arg, Graph):
+        return arg.frequency.counts == CLAW_PROFILE
+    if isinstance(arg, FrequencySequence):
+        return arg.counts == CLAW_PROFILE
+    return arg == CLAW_STARS
+
+
+def bump_s2(s: StarSequence) -> StarSequence:
+    return replace(s, higher=(s.higher[0] + 1, *s.higher[1:]))
+
+
+# Each route _profile_part calls, a way to put its result off by one, and
+# the theorems that must then fail on the claws: every route feeds some check
+# that compares it with an independent value, never with itself.
+PROFILE_ROUTE_FAULTS = [
+    (
+        "star_sequence",
+        bump_s2,
+        {"inversion", "moments", "inverse_degree_sum", "zagreb_from_stars", "star_bruteforce"},
+    ),
+    ("star_from_frequency", bump_s2, {"inversion"}),
+    (
+        "frequency_from_star",
+        lambda f: FrequencySequence((f.counts[0] + 1, f.counts[1] - 1, *f.counts[2:])),
+        {"inversion"},
+    ),
+    ("alternating_moment", lambda x: x + 1, {"moments"}),
+    ("moment_identity_rhs", lambda x: x + 1, {"moments"}),
+    ("isolated_count_from_star", lambda x: x + 1, {"inverse_degree_sum"}),
+    ("zagreb_from_stars", lambda x: x + 1, {"zagreb_from_stars"}),
+    ("zagreb_direct", lambda x: x + 1, {"zagreb_from_stars", "genfunc", "recurrence"}),
+    (
+        "genfunc_numerator",
+        lambda gf: replace(gf, numerator=(gf.numerator[0] + 1, *gf.numerator[1:])),
+        {"genfunc"},
+    ),
+    (
+        "verify_recurrence",
+        lambda items: [replace(items[0], residual=items[0].residual + 1), *items[1:]],
+        {"recurrence"},
+    ),
+    ("zagreb_by_recurrence", lambda x: x + 1, {"recurrence"}),
+]
+
+
+def code_names(code) -> set[str]:
+    """Global and attribute names a code object reads, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
+def test_every_profile_route_has_a_fault_case():
+    routes = {
+        name
+        for name in code_names(oracle._profile_part.__code__)
+        if getattr(getattr(oracle, name, None), "__module__", "")
+        in ("starzagreb.star", "starzagreb.zagreb")
+    }
+    assert routes == {name for name, _, _ in PROFILE_ROUTE_FAULTS}
+
+
+@pytest.mark.parametrize(
+    "name, bump, theorems", PROFILE_ROUTE_FAULTS, ids=[c[0] for c in PROFILE_ROUTE_FAULTS]
+)
+def test_profile_route_fault_fails_every_graph_of_that_profile(
+    capsys, monkeypatch, name, bump, theorems
+):
+    real = getattr(oracle, name)
+
+    def off_by_one_on_claws(*args):
+        result = real(*args)
+        return bump(result) if is_claw(args[0]) else result
+
+    monkeypatch.setattr(oracle, name, off_by_one_on_claws)
     rc, out = sweep_stdout(capsys, 4, "--json")
     records = json_lines(out)
     failed = {r["identifier"] for r in records[:-1] if not r["passed"]}
@@ -135,10 +211,11 @@ def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypat
     assert records[-1]["failures"] == 4
     for rec in records[:-1]:
         if rec["identifier"] in failed:
-            bad = rec["theorems"]["zagreb_from_stars"]
-            assert bad["status"] == "fail"
-            assert set(bad["residuals"].values()) == {"1"}
-            assert [t["status"] for t in rec["theorems"].values()].count("fail") == 1
+            bad = {t for t, result in rec["theorems"].items() if result["status"] == "fail"}
+            assert bad == theorems
+            if name == "zagreb_from_stars":
+                residuals = rec["theorems"]["zagreb_from_stars"]["residuals"]
+                assert set(residuals.values()) == {"1"}
 
 
 @pytest.mark.parametrize(
