@@ -15,7 +15,7 @@ import starzagreb.oracle as oracle
 from starzagreb.cli import main, render_report_line, report_to_dict
 from starzagreb.graph import FrequencySequence, Graph, frequency_sequence
 from starzagreb.oracle import labeled_graph_from_mask, sweep_reports, verify_all_identities
-from starzagreb.star import StarSequence
+from starzagreb.star import StarSequence, frequency_from_star
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -188,10 +188,33 @@ def test_every_profile_route_has_a_fault_case():
     assert routes == {name for name, _, _ in PROFILE_ROUTE_FAULTS}
 
 
+def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypatch):
+    real = oracle.zagreb_from_stars
+
+    def off_by_one_on_claws(s, p):
+        return real(s, p) + (frequency_from_star(s).counts == CLAW_PROFILE)
+
+    monkeypatch.setattr(oracle, "zagreb_from_stars", off_by_one_on_claws)
+    rc, out = sweep_stdout(capsys, 4, "--json")
+    records = json_lines(out)
+    failed = {r["identifier"] for r in records[:-1] if not r["passed"]}
+    claws = masks_with_profile(4, CLAW_PROFILE)
+    assert len(claws) == 4
+    assert rc == 1
+    assert failed == {f"n=4:mask={mask}" for mask in claws}
+    assert records[-1]["failures"] == 4
+    for rec in records[:-1]:
+        if rec["identifier"] in failed:
+            bad = rec["theorems"]["zagreb_from_stars"]
+            assert bad["status"] == "fail"
+            assert set(bad["residuals"].values()) == {"1"}
+            assert [t["status"] for t in rec["theorems"].values()].count("fail") == 1
+
+
 @pytest.mark.parametrize(
     "name, bump, theorems", PROFILE_ROUTE_FAULTS, ids=[c[0] for c in PROFILE_ROUTE_FAULTS]
 )
-def test_profile_route_fault_fails_every_graph_of_that_profile(
+def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
     capsys, monkeypatch, name, bump, theorems
 ):
     real = getattr(oracle, name)
@@ -213,9 +236,6 @@ def test_profile_route_fault_fails_every_graph_of_that_profile(
         if rec["identifier"] in failed:
             bad = {t for t, result in rec["theorems"].items() if result["status"] == "fail"}
             assert bad == theorems
-            if name == "zagreb_from_stars":
-                residuals = rec["theorems"]["zagreb_from_stars"]["residuals"]
-                assert set(residuals.values()) == {"1"}
 
 
 @pytest.mark.parametrize(
