@@ -4,7 +4,7 @@ processing, and exhaustive verification sweeps.
     starzagreb info GRAPH [--format edgelist|graph6] [--json]
     starzagreb zagreb GRAPH --p P [--method direct|star|recurrence|all] [--json]
     starzagreb genfunc GRAPH [--json]
-    starzagreb verify GRAPH [--p-max P] [--m-max M] [--json]
+    starzagreb verify GRAPH [--p-max P] [--m-max M] [--jobs J] [--json]
     starzagreb verify --exhaustive --n N [--p-max P] [--m-max M] [--jobs J] [--json]
 
 Graphs come from edge-list files (first significant line is the vertex
@@ -27,8 +27,8 @@ import multiprocessing
 import os
 import sys
 from collections import deque
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -369,95 +369,73 @@ def _report_outcome(report: TheoremReport, as_json: bool, compact: bool) -> _Out
     return ("report", text, report.check_count, report.passed, len(_triggered_ids(report)))
 
 
-def _verify_mask_range(task: tuple[int, int, int, int, int, bool]) -> list[_Outcome]:
+def _verify_mask_range(task: tuple[int, int, int, int, int, bool]) -> Iterator[_Outcome]:
     n, start, stop, p_max, m_max, as_json = task
-    reports = sweep_reports(n, start, stop, p_max=p_max, m_max=m_max)
-    return [_report_outcome(r, as_json, True) for r in reports]
+    for report in sweep_reports(n, start, stop, p_max=p_max, m_max=m_max):
+        yield _report_outcome(report, as_json, True)
 
 
-def _verify_graph(
-    ident: str, g: Graph, p_max: int, m_max: int, as_json: bool, compact: bool
-) -> _Outcome:
-    """The report outcome for g, or an error outcome when verify refuses g.
+def _verify_chunk(task: tuple[list, int, int, bool, bool]) -> Iterator[_Outcome]:
+    """Outcomes for a chunk of _iter_inputs items, in order.
 
     verify_all_identities puts failed checks in its report; its ValueError
     means the graph has more vertices than the brute-force star counts can
     finish (p_max and m_max are checked before any graph is read).
     """
-    try:
-        report = verify_all_identities(g, p_max, m_max, graph_id=ident)
-    except ValueError as exc:
-        return ("error", ident, str(exc))
-    return _report_outcome(report, as_json, compact)
+    items, p_max, m_max, as_json, compact = task
+    for ident, g in items:
+        if isinstance(g, GraphFormatError):
+            yield ("error", ident, str(g))
+            continue
+        try:
+            report = verify_all_identities(g, p_max, m_max, graph_id=ident)
+        except ValueError as exc:
+            yield ("error", ident, str(exc))
+            continue
+        yield _report_outcome(report, as_json, compact)
 
 
-def _verify_line_task(task: tuple[str, str, int, int, bool]) -> _Outcome:
-    ident, line, p_max, m_max, as_json = task
-    try:
-        g = parse_graph6(line)
-    except GraphFormatError as exc:
-        return ("error", ident, str(exc))
-    return _verify_graph(ident, g, p_max, m_max, as_json, True)
+def _workers(jobs: int) -> int:
+    """Worker processes for --jobs; the output never depends on it."""
+    return min(jobs, os.cpu_count() or 1)
 
 
-def _verify_edge_list(args: argparse.Namespace) -> _Outcome:
-    g = _read_edge_list(args.input)
-    if isinstance(g, GraphFormatError):
-        return ("error", args.input, str(g))
-    return _verify_graph(args.input, g, args.p_max, args.m_max, args.json, False)
+def _listed(fn, task) -> list:
+    # A pool worker sends its results back pickled, so it lists them first.
+    return list(fn(task))
 
 
-def _pool_size(jobs: int, ntasks: int) -> int:
-    """Worker processes for ntasks tasks; the output never depends on it."""
-    return min(jobs, os.cpu_count() or 1, ntasks)
+def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
+    """The results fn yields for each task, flattened in task order.
 
-
-def _map_chunk(fn, chunk: list) -> list:
-    return [fn(task) for task in chunk]
-
-
-def _map_tasks(fn, tasks: list, jobs: int, chunksize: int = 1) -> Iterator:
-    """fn over tasks, results in task order, across a process pool when
-    there are two or more chunks of tasks for it.  At most two chunks per
-    worker are pending at once, so finished results never pile up behind a
-    slow consumer."""
-    chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
-    workers = _pool_size(jobs, len(chunks))
-    if workers < 2:
-        yield from map(fn, tasks)
+    Only as many tasks as there are workers are read ahead.  When that is
+    two or more, the tasks run across a spawn pool of that many processes
+    with at most two tasks per worker pending, so neither the tasks nor
+    finished results pile up behind a slow consumer; otherwise they run
+    here, one at a time."""
+    tasks = iter(tasks)
+    head = list(islice(tasks, _workers(jobs)))
+    if len(head) < 2:
+        for task in chain(head, tasks):
+            yield from fn(task)
         return
     # Spawned workers import the package afresh, so the digit limit is
     # lifted again in each of them.
     context = multiprocessing.get_context("spawn")
-    with context.Pool(workers, initializer=_lift_digit_limit) as pool:
+    with context.Pool(len(head), initializer=_lift_digit_limit) as pool:
         pending: deque = deque()
-        for chunk in chunks:
-            pending.append(pool.apply_async(_map_chunk, (fn, chunk)))
-            if len(pending) > 2 * workers:
+        for task in chain(head, tasks):
+            pending.append(pool.apply_async(_listed, (fn, task)))
+            if len(pending) > 2 * len(head):
                 yield from pending.popleft().get()
         while pending:
             yield from pending.popleft().get()
 
 
-# Largest mask range one exhaustive-sweep task covers.  Each task keeps its
-# own per-profile results, so larger ranges repeat less profile work.
+# Largest mask range one exhaustive-sweep task covers on two or more
+# workers.  Each task keeps its own per-profile results, so larger ranges
+# repeat less profile work.
 SWEEP_RANGE = 1 << 12
-
-
-def _exhaustive_outcomes(
-    n: int, p_max: int, m_max: int, as_json: bool, jobs: int
-) -> Iterator[_Outcome]:
-    """One outcome per labeled graph on n vertices, in mask order."""
-    nmasks = 1 << (n * (n - 1) // 2)
-    size = min(SWEEP_RANGE, max(1, nmasks >> 3))
-    tasks = [
-        (n, lo, min(lo + size, nmasks), p_max, m_max, as_json) for lo in range(0, nmasks, size)
-    ]
-    if _pool_size(jobs, len(tasks)) < 2:
-        # One range, one set of per-profile results, streamed graph by graph.
-        reports = sweep_reports(n, p_max=p_max, m_max=m_max)
-        return (_report_outcome(r, as_json, True) for r in reports)
-    return chain.from_iterable(_map_tasks(_verify_mask_range, tasks, jobs))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -475,22 +453,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--exhaustive requires --n")
         if not 1 <= args.n <= MAX_ENUM_N:
             return _usage_error(f"--n must be between 1 and {MAX_ENUM_N}")
-        outcomes = _exhaustive_outcomes(args.n, args.p_max, args.m_max, args.json, args.jobs)
+        nmasks = 1 << (args.n * (args.n - 1) // 2)
+        # A single worker sweeps every mask in one task, so it evaluates
+        # each degree profile once.
+        size = min(SWEEP_RANGE, max(1, nmasks >> 3)) if _workers(args.jobs) > 1 else nmasks
+        ranges = (
+            (args.n, lo, min(lo + size, nmasks), args.p_max, args.m_max, args.json)
+            for lo in range(0, nmasks, size)
+        )
+        outcomes = _map_tasks(_verify_mask_range, ranges, args.jobs)
     else:
         if args.n is not None:
             return _usage_error("--n only applies with --exhaustive")
         if not args.input:
             return _usage_error("verify needs an input file or --exhaustive")
-        if _resolve_format(args) == "graph6":
-            with open(args.input, encoding="ascii", errors="replace") as fh:
-                tasks = [
-                    (f"{args.input}:{lineno}", line.strip(), args.p_max, args.m_max, args.json)
-                    for lineno, line in enumerate(fh, start=1)
-                    if line.strip()
-                ]
-            outcomes = _map_tasks(_verify_line_task, tasks, args.jobs, 128)
-        else:
-            outcomes = [_verify_edge_list(args)]
+        fmt = _resolve_format(args)
+        items = _iter_inputs(args.input, fmt)
+        chunks = (
+            (chunk, args.p_max, args.m_max, args.json, fmt == "graph6")
+            for chunk in iter(lambda: list(islice(items, 128)), [])
+        )
+        outcomes = _map_tasks(_verify_chunk, chunks, args.jobs)
 
     graphs = checks = failures = errata_hits = 0
     had_error = False

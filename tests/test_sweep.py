@@ -13,7 +13,7 @@ import pytest
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
 from starzagreb.cli import main, render_report_line, report_to_dict
-from starzagreb.graph import FrequencySequence, Graph, frequency_sequence
+from starzagreb.graph import FrequencySequence, Graph, frequency_sequence, to_graph6
 from starzagreb.oracle import labeled_graph_from_mask, sweep_reports, verify_all_identities
 from starzagreb.star import StarSequence, frequency_from_star
 
@@ -320,3 +320,68 @@ def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
     assert "summary: graphs=3 " in capsys.readouterr().out
     # Three lines fit one chunk of tasks, so no pool is started.
     assert RecordingPool.sizes == []
+
+
+def test_graph6_batch_pool_output_identical(tmp_path, capsys, monkeypatch):
+    # 320 lines make three 128-line chunks, so --jobs 2 starts a real pool.
+    lines = [to_graph6(labeled_graph_from_mask(5, mask)) for mask in range(320)]
+    lines[7], lines[130], lines[260] = "", "###", "T" + "?" * 35
+    src = tmp_path / "batch.g6"
+    src.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for extra in ([], ["--json"]):
+        runs = []
+        for jobs in ("1", "2"):
+            rc = main(["verify", str(src), "--jobs", jobs, *extra])
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err))
+        assert runs[0] == runs[1]
+        rc, out, err = runs[0]
+        assert rc == 2
+        errors = err.splitlines()
+        assert len(errors) == 2
+        assert errors[0] == f"error: {src}:131: invalid graph6 character '#' at position 0"
+        assert errors[1].startswith(f"error: {src}:261: n = 21 is above the brute-force limit")
+        summary = out.splitlines()[-1]
+        assert ('"graphs": 317,' if extra else "summary: graphs=317 ") in summary
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_reads_graph6_one_chunk_per_worker_ahead(tmp_path, capsys, monkeypatch, jobs):
+    src = tmp_path / "k2.g6"
+    src.write_text("A_\n" * 1000)
+    lines_read = 0
+    read_at_first_verify = []
+
+    class CountingFile:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            nonlocal lines_read
+            for line in self.fh:
+                lines_read += 1
+                yield line
+
+    real = cli.verify_all_identities
+
+    def recording(*args, **kwargs):
+        if not read_at_first_verify:
+            read_at_first_verify.append(lines_read)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", CountingFile, raising=False)
+    monkeypatch.setattr(cli, "verify_all_identities", recording)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    assert main(["verify", str(src), "--jobs", str(jobs), "--p-max", "3", "--m-max", "2"]) == 0
+    assert "summary: graphs=1000 " in capsys.readouterr().out
+    assert lines_read == 1000
+    # Each worker holds one 128-line chunk, and one more is being read.
+    assert read_at_first_verify[0] <= (jobs + 1) * 128
