@@ -366,8 +366,8 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     trailing.append(TheoremResult("genfunc", tuple(checks)))
 
     # Order-n recurrence: the boundary residual must equal the top numerator
-    # coefficient, everything past it must vanish, and the sliding-window
-    # route must reproduce direct values.
+    # coefficient, everything past it must vanish (both in the paper's
+    # Stirling form), and the factored route must reproduce direct values.
     checks = []
     for item in verify_recurrence(g, n, n + p_max):
         expected = gf.numerator[n] if item.p == n else 0

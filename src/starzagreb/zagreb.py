@@ -3,14 +3,16 @@ plus the rational generating function of the whole sequence (Z_p)_{p>=0}.
 
 The generating function is N(t) / ((1-t)(1-2t)...(1-nt)) with deg N <= n.
 Its denominator drives an order-n linear recurrence that extends Z_p to
-arbitrary exponents without computing a single p-th power.
+arbitrary exponents without computing a single p-th power.  The paper's
+Stirling form of that recurrence is built by `recurrence_coeffs` and checked
+by `verify_recurrence`; `zagreb_by_recurrence` applies the same operator
+factor by factor, dividing N(t) by each (1 - jt) in turn.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows, surjection_row
 from .graph import Graph
@@ -102,22 +104,32 @@ def recurrence_coeffs(n: int) -> list[int]:
 
 
 def zagreb_by_recurrence(g: Graph, p: int) -> int:
-    """Z_p via the order-n linear recurrence, seeded with direct values.
+    """Z_p via the order-n recurrence in factored form, seeded with direct values.
 
-    Returns the direct value for p <= n; beyond that it slides a window of
-    the n previous values forward, so memory stays O(n) for any exponent
-    and no p-th powers are ever formed.
+    Returns the direct value for p <= n.  Beyond that, the numerator
+    a_0..a_n of Z(t) (1-t)(1-2t)...(1-nt) = N(t) is formed from Z_0..Z_n by
+    multiplying in one factor (1 - jt) at a time, truncated at t^n.  Then
+    the series N(t) is streamed through n running quotients, one per
+    factor: dividing by (1 - jt) is y_k = x_k + j y_{k-1}.  Every big-integer
+    step multiplies by a small j <= n rather than a Stirling number, memory
+    stays at n + 1 integers for any exponent, and direct values are read
+    only at q <= n, so no p-th power is ever formed.
     """
     if p < 0:
         raise ValueError("exponent must be a non-negative integer")
     n = g.n
     if p <= n:
         return zagreb_direct(g, p)
-    coeffs = recurrence_coeffs(n)
-    window = deque((zagreb_direct(g, q) for q in range(1, n + 1)), maxlen=n)
-    for _ in range(n + 1, p + 1):
-        window.append(-sum(c * z for c, z in zip(coeffs, reversed(window))))
-    return window[-1]
+    num = [zagreb_direct(g, q) for q in range(n + 1)]
+    for j in range(1, n + 1):
+        for k in range(n, 0, -1):
+            num[k] -= j * num[k - 1]
+    carry = [0] * (n + 1)
+    for x in chain(num, repeat(0, p - n)):
+        for j in range(1, n + 1):
+            x += j * carry[j]
+            carry[j] = x
+    return x
 
 
 @dataclass(frozen=True)

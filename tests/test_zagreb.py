@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starzagreb.graph import Graph, degrees, frequency_sequence
 from starzagreb.star import alternating_moment, moment_identity_rhs, star_sequence
@@ -23,6 +25,26 @@ from starzagreb.zagreb import (
 from starzagreb.oracle import all_labeled_graphs, series_expand_rational
 from tests.named import complete, cycle, edgeless, k2_plus_isolated, path, star
 from tests.strategies import graphs
+
+
+def window_recurrence(g: Graph, p: int) -> int:
+    """Reference Z_p from the paper's Stirling form of the recurrence:
+    slide a window of the n previous values forward, each new value being
+    -(c_1 Z_{p-1} + ... + c_n Z_{p-n}), seeded with direct Z_1..Z_n."""
+    n = g.n
+    if p <= n:
+        return zagreb_direct(g, p)
+    coeffs = recurrence_coeffs(n)
+    window = deque((zagreb_direct(g, q) for q in range(1, n + 1)), maxlen=n)
+    for _ in range(n + 1, p + 1):
+        window.append(-sum(c * z for c, z in zip(coeffs, reversed(window))))
+    return window[-1]
+
+
+def seeded_graph(n: int, density: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    edges = [(u, v) for v in range(1, n) for u in range(v) if rng.random() < density]
+    return Graph.from_edges(n, edges)
 
 
 def test_zagreb_direct_frozen_values():
@@ -154,6 +176,59 @@ def test_zagreb_by_recurrence_agrees_with_direct():
         for g in all_labeled_graphs(n):
             for p in range(0, 2 * n + 4):
                 assert zagreb_by_recurrence(g, p) == zagreb_direct(g, p), (g, p)
+
+
+def test_factored_recurrence_matches_window_on_every_profile():
+    # The route reads a graph only through its degree profile, so one graph
+    # per distinct profile covers every labeled graph with n <= 6.
+    for n in range(1, 7):
+        seen = set()
+        for g in all_labeled_graphs(n):
+            if g.frequency in seen:
+                continue
+            seen.add(g.frequency)
+            for p in range(4 * n + 9):
+                expected = zagreb_direct(g, p)
+                assert window_recurrence(g, p) == expected, (g, p)
+                assert zagreb_by_recurrence(g, p) == expected, (g, p)
+
+
+@given(graphs(max_n=20), st.integers(min_value=0, max_value=300))
+@settings(max_examples=80, deadline=None)
+def test_factored_recurrence_matches_window(g, p):
+    expected = window_recurrence(g, p)
+    assert zagreb_by_recurrence(g, p) == expected == zagreb_direct(g, p)
+
+
+def test_recurrence_route_reads_direct_values_only_up_to_n(monkeypatch):
+    # route_p compares this route with direct powers; that check means
+    # nothing if the route itself falls back to direct powers past q = n.
+    exponents = []
+
+    def recording(g, q):
+        exponents.append(q)
+        return zagreb_direct(g, q)
+
+    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", recording)
+    g = seeded_graph(30, 0.4, 20260901)
+    assert zagreb_by_recurrence(g, 500) == zagreb_direct(g, 500)
+    assert exponents and max(exponents) <= g.n, max(exponents)
+
+
+def test_recurrence_route_memory_stays_order_n_at_high_exponent():
+    # n + 1 running values of at most ~20,000 bits each; keeping all
+    # p + 1 series terms instead would peak at about 3 MB here.
+    g = seeded_graph(62, 0.9, 20260902)
+    p = 3400
+    expected = zagreb_direct(g, p)
+    tracemalloc.start()
+    try:
+        value = zagreb_by_recurrence(g, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 512 * 1024, peak
 
 
 def test_recurrence_residuals_vanish_past_n():
