@@ -15,8 +15,9 @@ and can be forced with --format.
 
 With --json each graph yields one JSON document per line; unbounded
 integer values are rendered as decimal strings so nothing overflows on the
-consumer side.  Diagnostics go to standard error.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+consumer side.  Diagnostics go to standard error.  Every subcommand exits
+1 if any check failed or any routes disagreed, else 2 if any input or
+option was refused or unreadable, else 0; so 1 takes precedence over 2.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import multiprocessing
 import os
 import sys
 from collections import deque
+from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -141,8 +143,8 @@ def report_to_dict(report: TheoremReport) -> dict:
     }
 
 
-def error_record(identifier: str, exc: Exception) -> dict:
-    return {"type": "error", "identifier": identifier, "error": str(exc)}
+def error_record(identifier: str, message: str) -> dict:
+    return {"type": "error", "identifier": identifier, "error": message}
 
 
 # ---------------------------------------------------------------------------
@@ -284,42 +286,63 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _emit(rec: dict, as_json: bool, renderer, *, pad: bool = False) -> None:
-    if as_json:
-        print(json.dumps(rec))
-    else:
-        print(renderer(rec))
-        if pad:
-            print()
+# ---------------------------------------------------------------------------
+# output
+
+# What the output loop takes from each graph, rendered where the graph was
+# processed: ("report", stdout text, checks, passed, errata observed) or
+# ("error", identifier, message).
+_Outcome = tuple
 
 
-def _emit_parse_error(ident: str, exc: Exception, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(error_record(ident, exc)))
-    print(f"error: {ident}: {exc}", file=sys.stderr)
+def _print_outcomes(outcomes: Iterable[_Outcome], as_json: bool, summary=None) -> int:
+    """Print each outcome as it arrives and return the exit code.
+
+    An error goes to stderr, and with --json also to stdout as an error
+    record.  summary, if given, is called with as_json and the tallies after
+    the last outcome.  The exit code is 1 if any check failed or any routes
+    disagreed, else 2 if any input was refused or unreadable, else 0."""
+    graphs = checks = failures = errata_hits = 0
+    had_error = False
+    for kind, *data in outcomes:
+        if kind == "error":
+            ident, message = data
+            had_error = True
+            if as_json:
+                print(json.dumps(error_record(ident, message)))
+            print(f"error: {ident}: {message}", file=sys.stderr)
+            continue
+        text, graph_checks, passed, graph_errata = data
+        graphs += 1
+        checks += graph_checks
+        failures += not passed
+        errata_hits += graph_errata
+        print(text)
+    if summary:
+        summary(as_json, graphs, checks, failures, errata_hits, had_error)
+    return 1 if failures else 2 if had_error else 0
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _run_simple(args: argparse.Namespace, build) -> int:
+def _record_outcomes(args: argparse.Namespace, record, render) -> Iterator[_Outcome]:
+    """Outcomes for info, zagreb and genfunc: each graph's record as JSON,
+    or rendered as text, plus a blank line in a graph6 batch.  A record
+    fails only when zagreb's routes disagree."""
     fmt = _resolve_format(args)
-    had_error = False
-    batch = fmt == "graph6"
-    for ident, item in _iter_inputs(args.input, fmt):
-        if isinstance(item, GraphFormatError):
-            had_error = True
-            _emit_parse_error(ident, item, args.json)
+    end = "\n" if fmt == "graph6" else ""
+    for ident, g in _iter_inputs(args.input, fmt):
+        if isinstance(g, GraphFormatError):
+            yield ("error", ident, str(g))
             continue
-        build(ident, item, batch)
-    return 2 if had_error else 0
+        rec = record(ident, g)
+        text = json.dumps(rec) if args.json else render(rec) + end
+        yield ("report", text, 0, rec.get("agree", True), 0)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    def build(ident: str, g: Graph, batch: bool) -> None:
-        _emit(info_record(ident, g), args.json, render_info, pad=batch)
-
-    return _run_simple(args, build)
+    return _print_outcomes(_record_outcomes(args, info_record, render_info), args.json)
 
 
 def cmd_zagreb(args: argparse.Namespace) -> int:
@@ -330,33 +353,15 @@ def cmd_zagreb(args: argparse.Namespace) -> int:
             "the star route is undefined at p = 0 (it would yield 2m, not n); "
             "use --method direct"
         )
-    disagreement = False
-
-    def build(ident: str, g: Graph, batch: bool) -> None:
-        nonlocal disagreement
-        rec = zagreb_record(ident, g, args.p, args.method)
-        if rec.get("agree") is False:
-            disagreement = True
-        _emit(rec, args.json, render_zagreb, pad=batch)
-
-    code = _run_simple(args, build)
-    if disagreement:
+    record = partial(zagreb_record, p=args.p, method=args.method)
+    code = _print_outcomes(_record_outcomes(args, record, render_zagreb), args.json)
+    if code == 1:
         print("error: evaluation routes disagree; this is a bug", file=sys.stderr)
-        return 1
     return code
 
 
 def cmd_genfunc(args: argparse.Namespace) -> int:
-    def build(ident: str, g: Graph, batch: bool) -> None:
-        _emit(genfunc_record(ident, g), args.json, render_genfunc, pad=batch)
-
-    return _run_simple(args, build)
-
-
-# What the verify loop takes from each graph, rendered where the graph was
-# verified: ("report", stdout text, checks, passed, errata observed) or
-# ("error", identifier, message).
-_Outcome = tuple
+    return _print_outcomes(_record_outcomes(args, genfunc_record, render_genfunc), args.json)
 
 
 def _report_outcome(report: TheoremReport, as_json: bool, compact: bool) -> _Outcome:
@@ -474,22 +479,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for chunk in iter(lambda: list(islice(items, 128)), [])
         )
         outcomes = _map_tasks(_verify_chunk, chunks, args.jobs)
+    return _print_outcomes(outcomes, args.json, _print_summary)
 
-    graphs = checks = failures = errata_hits = 0
-    had_error = False
-    for kind, *data in outcomes:
-        if kind == "error":
-            ident, message = data
-            had_error = True
-            _emit_parse_error(ident, ValueError(message), args.json)
-            continue
-        text, graph_checks, passed, graph_errata = data
-        graphs += 1
-        checks += graph_checks
-        failures += not passed
-        errata_hits += graph_errata
-        print(text)
 
+def _print_summary(
+    as_json: bool, graphs: int, checks: int, failures: int, errata_hits: int, had_error: bool
+) -> None:
     # A run that verified nothing because every input was refused or
     # unreadable has not passed.
     nothing_verified = graphs == 0 and had_error
@@ -501,7 +496,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "errata_observations": errata_hits,
         "passed": failures == 0 and not nothing_verified,
     }
-    if args.json:
+    if as_json:
         print(json.dumps(summary))
     else:
         status = "FAIL" if failures else "ERROR" if nothing_verified else "PASS"
@@ -509,9 +504,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"summary: graphs={graphs} checks={checks} failures={failures} "
             f"errata_observations={errata_hits} -> {status}"
         )
-    if failures:
-        return 1
-    return 2 if had_error else 0
 
 
 # ---------------------------------------------------------------------------

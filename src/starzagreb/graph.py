@@ -235,21 +235,13 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header); requires n <= 62."""
     if g.n > 62:
         raise ValueError("graph6 encoding is limited to n <= 62 here")
-    nbits = g.n * (g.n - 1) // 2
-    bits = [0] * ((nbits + 5) // 6 * 6)
-    idx = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            if (u, v) in g.edges:
-                bits[idx] = 1
-            idx += 1
-    chars = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    # Edge (u, v), u < v, is bit v(v-1)/2 + u of the column-order upper
+    # triangle, packed six to a character, most significant bit first.
+    groups = [0] * -(-g.n * (g.n - 1) // 12)
+    for u, v in g.edges:
+        i = v * (v - 1) // 2 + u
+        groups[i // 6] |= 32 >> i % 6
+    return chr(g.n + 63) + "".join(chr(x + 63) for x in groups)
 
 
 def degrees(g: Graph) -> list[int]:

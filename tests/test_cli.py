@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -14,6 +15,7 @@ from starzagreb.cli import main
 from starzagreb.graph import to_graph6
 from starzagreb.oracle import TheoremCheck, TheoremReport, TheoremResult
 from tests.named import path as path_graph
+from tests.test_graph import encode_g6_reference
 
 
 P4_EDGELIST = "4\n0 1\n1 2\n2 3\n"
@@ -419,3 +421,130 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "FAIL S1 residual=1" in out
     assert "failures=1" in out
+
+
+# A graph6 batch with a 4-vertex path, a blank line, a bad line, K_{1,61}
+# (the largest star graph6 encodes in one byte) and the empty graph on 21
+# vertices.
+K161_G6 = encode_g6_reference(62, {(0, i) for i in range(1, 62)})
+TEXT_BATCH_G6 = "\n".join(["Ch", "", "###", K161_G6, "T" + "?" * 35]) + "\n"
+
+# sha256 of stdout for TEXT_BATCH_G6 read as batch.g6, recorded from the
+# implementation that printed each subcommand through its own loop.
+PINNED_TEXT_BATCH_SHA256 = {
+    ("info",): (
+        "4cca7e21a6b0cd5848d2bb5d53e164d426231b3d32fd598afdc667eebca95833",
+        "1187852e201b26e54575ad22227b2287f42340ada79d43e0b518643dd68c9fc4",
+    ),
+    ("zagreb", "--p", "3"): (
+        "21dd8c71e8f54d00b5d793e50720eeec5d4c3ff38fc58e9410b2581a72a408ce",
+        "f696b9a34a21ccf46957439a983df647427cae12ab38c174487d126ea09d05ba",
+    ),
+    ("genfunc",): (
+        "c567895b428a1430644ffa8e86c4ea4264b977040105c2dea600f1ac27409b67",
+        "38ea4434a4531b3e644f72668b62d0e290950ba0025ee4cd348bd21afc45075e",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_TEXT_BATCH_SHA256))
+def test_graph6_batch_output_is_pinned(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "batch.g6", TEXT_BATCH_G6)
+    for extra, digest in zip(([], ["--json"]), PINNED_TEXT_BATCH_SHA256[command]):
+        rc = main([command[0], "batch.g6", *command[1:], *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: batch.g6:3: invalid graph6 character '#' at position 0\n"
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, extra
+        if not extra:
+            # Each text record is followed by one blank line.
+            assert captured.out.count("\n\n") == 3 and captured.out.endswith("\n\n")
+
+
+BAD_LINE_G6 = "Bw\n###\nA_\n"
+
+
+def test_zagreb_disagreement_outranks_a_bad_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "zagreb_from_stars", lambda s, p: 10**9)
+    src = write(tmp_path, "mixed.g6", BAD_LINE_G6)
+    rc = main(["zagreb", src, "--p", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src}:2: invalid graph6 character '#' at position 0",
+        "error: evaluation routes disagree; this is a bug",
+    ]
+
+
+def test_verify_failure_outranks_a_bad_line(tmp_path, capsys, monkeypatch):
+    broken = TheoremReport(
+        graph_id="forced",
+        n=2,
+        m=1,
+        p_max=1,
+        m_max=1,
+        theorems=(TheoremResult("inversion", (TheoremCheck("S1", 1),)),),
+        errata=(),
+    )
+    monkeypatch.setattr(cli, "verify_all_identities", lambda *a, **kw: broken)
+    src = write(tmp_path, "mixed.g6", BAD_LINE_G6)
+    rc = main(["verify", src])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {src}:2:" in captured.err
+    assert "summary: graphs=2 checks=2 failures=2 " in captured.out
+
+
+@pytest.mark.parametrize("command", ["info", "genfunc"])
+def test_bad_line_without_failures_exits_2(tmp_path, capsys, command):
+    src = write(tmp_path, "mixed.g6", BAD_LINE_G6)
+    rc = main([command, src, "--json"])
+    records = json_lines(capsys.readouterr().out)
+    assert rc == 2
+    assert [r["type"] for r in records] == [command, "error", command]
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        (["info"], "info_record"),
+        (["zagreb", "--p", "2"], "zagreb_record"),
+        (["genfunc"], "genfunc_record"),
+    ],
+)
+def test_record_commands_read_one_line_ahead(tmp_path, capsys, monkeypatch, command, record):
+    src = tmp_path / "k2.g6"
+    src.write_text("A_\n" * 1000)
+    lines_read = 0
+    read_at_first_record = []
+
+    class CountingFile:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __iter__(self):
+            nonlocal lines_read
+            for line in self.fh:
+                lines_read += 1
+                yield line
+
+    real = getattr(cli, record)
+
+    def recording(*args, **kwargs):
+        if not read_at_first_record:
+            read_at_first_record.append(lines_read)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", CountingFile, raising=False)
+    monkeypatch.setattr(cli, record, recording)
+    assert main([command[0], str(src), *command[1:], "--json"]) == 0
+    records = json_lines(capsys.readouterr().out)
+    assert [r["type"] for r in records] == [command[0]] * 1000
+    assert lines_read == 1000
+    assert read_at_first_record[0] <= 1
