@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from collections import deque
@@ -424,8 +423,11 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
         for task in chain(head, tasks):
             yield from fn(task)
         return
-    # Spawned workers import the package afresh, so the digit limit is
-    # lifted again in each of them.
+    # Loaded only here, so commands that never start a pool skip its
+    # import.  Spawned workers import the package afresh, so the digit
+    # limit is lifted again in each of them.
+    import multiprocessing
+
     context = multiprocessing.get_context("spawn")
     with context.Pool(len(head), initializer=_lift_digit_limit) as pool:
         pending: deque = deque()

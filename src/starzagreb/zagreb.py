@@ -5,8 +5,11 @@ The generating function is N(t) / ((1-t)(1-2t)...(1-nt)) with deg N <= n.
 Its denominator drives an order-n linear recurrence that extends Z_p to
 arbitrary exponents without computing a single p-th power.  The paper's
 Stirling form of that recurrence is built by `recurrence_coeffs` and checked
-by `verify_recurrence`; `zagreb_by_recurrence` applies the same operator
-factor by factor, dividing N(t) by each (1 - jt) in turn.
+by `verify_recurrence`.  That fraction is never in lowest terms: Z(t) is
+f_0 + sum_{d in D} f_d / (1 - dt) over the set D of distinct positive
+degrees, so only the factors (1 - dt) with d in D survive reduction.
+`zagreb_by_recurrence` runs that order-|D| recurrence factor by factor,
+dividing the reduced numerator by each (1 - dt) in turn.
 """
 
 from __future__ import annotations
@@ -104,31 +107,35 @@ def recurrence_coeffs(n: int) -> list[int]:
 
 
 def zagreb_by_recurrence(g: Graph, p: int) -> int:
-    """Z_p via the order-n recurrence in factored form, seeded with direct values.
+    """Z_p via the order-|D| recurrence in factored form, seeded with direct values.
 
-    Returns the direct value for p <= n.  Beyond that, the numerator
-    a_0..a_n of Z(t) (1-t)(1-2t)...(1-nt) = N(t) is formed from Z_0..Z_n by
-    multiplying in one factor (1 - jt) at a time, truncated at t^n.  Then
-    the series N(t) is streamed through n running quotients, one per
-    factor: dividing by (1 - jt) is y_k = x_k + j y_{k-1}.  Every big-integer
-    step multiplies by a small j <= n rather than a Stirling number, memory
-    stays at n + 1 integers for any exponent, and direct values are read
-    only at q <= n, so no p-th power is ever formed.
+    D is the set of distinct positive degrees and r = |D|.  Returns the
+    direct value for p <= r.  Beyond that, the numerator a_0..a_r of
+    Z(t) prod_{d in D} (1 - dt), a polynomial of degree at most r, is formed
+    from Z_0..Z_r by multiplying in one factor (1 - dt) at a time, truncated
+    at t^r.  Then that numerator is streamed through r running quotients,
+    one per factor in ascending d: dividing by (1 - dt) is
+    y_k = x_k + d y_{k-1}, and each quotient grows like the largest degree
+    already divided out, so the small ones go first.  Every big-integer
+    step multiplies by a small d < n, memory stays at r + 1 integers for
+    any exponent, and direct values are read only at q <= r, so no p-th
+    power is ever formed.
     """
     if p < 0:
         raise ValueError("exponent must be a non-negative integer")
-    n = g.n
-    if p <= n:
+    factors = [d for d, c in enumerate(g.frequency.counts) if c and d]
+    r = len(factors)
+    if p <= r:
         return zagreb_direct(g, p)
-    num = [zagreb_direct(g, q) for q in range(n + 1)]
-    for j in range(1, n + 1):
-        for k in range(n, 0, -1):
-            num[k] -= j * num[k - 1]
-    carry = [0] * (n + 1)
-    for x in chain(num, repeat(0, p - n)):
-        for j in range(1, n + 1):
-            x += j * carry[j]
-            carry[j] = x
+    num = [zagreb_direct(g, q) for q in range(r + 1)]
+    for d in factors:
+        for k in range(r, 0, -1):
+            num[k] -= d * num[k - 1]
+    carry = [0] * r
+    for x in chain(num, repeat(0, p - r)):
+        for i, d in enumerate(factors):
+            x += d * carry[i]
+            carry[i] = x
     return x
 
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -289,6 +294,21 @@ class RecordingPool:
 RecordingContext = SimpleNamespace(Pool=RecordingPool)
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only the worker pool needs multiprocessing, so the CLI loads it there;
+    # the pool tests below patch the module's own get_context for that reason.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, starzagreb.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "cpus, argv, expected",
     [
@@ -303,7 +323,7 @@ RecordingContext = SimpleNamespace(Pool=RecordingPool)
 def test_jobs_clamped_to_cores_and_tasks(capsys, monkeypatch, cpus, argv, expected):
     rc, baseline = main(argv[:-2]), capsys.readouterr().out
     RecordingPool.sizes = []
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert main(argv) == rc == 0
     assert capsys.readouterr().out == baseline
@@ -314,7 +334,7 @@ def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
     src = tmp_path / "three.g6"
     src.write_text("Bw\nA_\nCh\n")
     RecordingPool.sizes = []
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert main(["verify", str(src), "--jobs", "8"]) == 0
     assert "summary: graphs=3 " in capsys.readouterr().out
@@ -379,7 +399,7 @@ def test_verify_reads_graph6_one_chunk_per_worker_ahead(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "open", CountingFile, raising=False)
     monkeypatch.setattr(cli, "verify_all_identities", recording)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
     assert main(["verify", str(src), "--jobs", str(jobs), "--p-max", "3", "--m-max", "2"]) == 0
     assert "summary: graphs=1000 " in capsys.readouterr().out
     assert lines_read == 1000

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import deque
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,47 @@ def window_recurrence(g: Graph, p: int) -> int:
     for _ in range(n + 1, p + 1):
         window.append(-sum(c * z for c, z in zip(coeffs, reversed(window))))
     return window[-1]
+
+
+def all_factor_recurrence(g: Graph, p: int) -> int:
+    """Reference Z_p from the paper's full denominator in factored form:
+    the numerator of Z(t) (1-t)(1-2t)...(1-nt), seeded from direct
+    Z_0..Z_n, streamed through n running quotients, one per (1 - jt)."""
+    n = g.n
+    if p <= n:
+        return zagreb_direct(g, p)
+    num = [zagreb_direct(g, q) for q in range(n + 1)]
+    for j in range(1, n + 1):
+        for k in range(n, 0, -1):
+            num[k] -= j * num[k - 1]
+    carry = [0] * (n + 1)
+    for x in chain(num, repeat(0, p - n)):
+        for j in range(1, n + 1):
+            x += j * carry[j]
+            carry[j] = x
+    return x
+
+
+def distinct_degrees(g: Graph) -> list[int]:
+    """D, the distinct positive degrees, ascending."""
+    return [d for d, c in enumerate(g.frequency.counts) if c and d]
+
+
+def reduced_numerator(g: Graph) -> list[int]:
+    """Coefficients of Z(t) prod_{d in D} (1 - dt), from its partial
+    fractions: f_0 prod_{d in D} (1 - dt) + sum_d f_d prod_{e != d} (1 - et)."""
+    degrees_d = distinct_degrees(g)
+    num = [0] * (len(degrees_d) + 1)
+    for d, c in enumerate(g.frequency.counts):
+        if not c:
+            continue
+        poly = [c]
+        for e in degrees_d:
+            if e != d:
+                poly = [a - e * b for a, b in zip(poly + [0], [0] + poly)]
+        for k, a in enumerate(poly):
+            num[k] += a
+    return num
 
 
 def seeded_graph(n: int, density: float, seed: int) -> Graph:
@@ -190,6 +232,7 @@ def test_factored_recurrence_matches_window_on_every_profile():
             for p in range(4 * n + 9):
                 expected = zagreb_direct(g, p)
                 assert window_recurrence(g, p) == expected, (g, p)
+                assert all_factor_recurrence(g, p) == expected, (g, p)
                 assert zagreb_by_recurrence(g, p) == expected, (g, p)
 
 
@@ -197,7 +240,67 @@ def test_factored_recurrence_matches_window_on_every_profile():
 @settings(max_examples=80, deadline=None)
 def test_factored_recurrence_matches_window(g, p):
     expected = window_recurrence(g, p)
-    assert zagreb_by_recurrence(g, p) == expected == zagreb_direct(g, p)
+    assert zagreb_by_recurrence(g, p) == all_factor_recurrence(g, p) == expected
+    assert expected == zagreb_direct(g, p)
+
+
+def assert_paper_numerator_vanishes_at_one_over_n(g: Graph) -> None:
+    # No vertex has degree n, so (1 - nt) cancels out of Z(t) and the
+    # paper's numerator has a root at t = 1/n: sum_k a_k n^(n-k) = 0.
+    n = g.n
+    a = genfunc_numerator(g).numerator
+    assert sum(a[k] * n ** (n - k) for k in range(n + 1)) == 0, g
+
+
+def test_paper_numerator_vanishes_at_one_over_n_exhaustively():
+    for n in range(1, 7):
+        for g in all_labeled_graphs(n):
+            assert_paper_numerator_vanishes_at_one_over_n(g)
+
+
+@given(graphs(max_n=20))
+@settings(max_examples=80, deadline=None)
+def test_paper_numerator_vanishes_at_one_over_n(g):
+    assert_paper_numerator_vanishes_at_one_over_n(g)
+
+
+def assert_route_edge_case(g: Graph, exponents) -> None:
+    for p in exponents:
+        expected = zagreb_direct(g, p)
+        assert window_recurrence(g, p) == expected, (g, p)
+        assert zagreb_by_recurrence(g, p) == expected, (g, p)
+
+
+def test_recurrence_route_edgeless_graphs():
+    # D is empty, n = 1 included: the reduced numerator is the constant n,
+    # and Z_p = 0 for every p >= 1.
+    for n in (1, 2, 5, 17):
+        g = edgeless(n)
+        assert reduced_numerator(g) == [n]
+        assert_route_edge_case(g, range(2 * n + 4))
+        assert [zagreb_by_recurrence(g, p) for p in (1, n, n + 1, 300)] == [0] * 4
+
+
+def test_recurrence_route_with_isolated_vertices():
+    # With f_0 > 0 the reduced numerator reaches degree r = |D|: its top
+    # coefficient is f_0 prod_{d in D} (-d), so truncating at t^r is exact.
+    for g in (k2_plus_isolated(), Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])):
+        degrees_d = distinct_degrees(g)
+        top = reduced_numerator(g)[-1]
+        assert top == g.frequency.isolated * math.prod(-d for d in degrees_d) != 0
+        assert_route_edge_case(g, range(3 * g.n + 5))
+
+
+def test_recurrence_route_star_k1_61():
+    # D = {1, 61}: two factors instead of the paper's 62.
+    g = star(61)
+    assert distinct_degrees(g) == [1, 61]
+    assert_route_edge_case(g, [0, 1, 2, 3, 61, 62, 63, 500])
+
+
+def test_recurrence_route_at_n_plus_one():
+    for g in (path(5), cycle(6), complete(5), star(7), k2_plus_isolated(), edgeless(4)):
+        assert_route_edge_case(g, [g.n, g.n + 1])
 
 
 def test_recurrence_route_reads_direct_values_only_up_to_n(monkeypatch):
@@ -215,9 +318,26 @@ def test_recurrence_route_reads_direct_values_only_up_to_n(monkeypatch):
     assert exponents and max(exponents) <= g.n, max(exponents)
 
 
+def test_recurrence_route_reads_direct_values_only_up_to_distinct_degrees(monkeypatch):
+    # The route divides only by the factors (1 - dt) with d in D, so it
+    # seeds from Z_0..Z_r with r = |D| and never reads a direct value past.
+    exponents = []
+
+    def recording(g, q):
+        exponents.append(q)
+        return zagreb_direct(g, q)
+
+    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", recording)
+    for g in (seeded_graph(30, 0.4, 20260901), star(61), k2_plus_isolated(), edgeless(6)):
+        r = len(distinct_degrees(g))
+        exponents.clear()
+        assert zagreb_by_recurrence(g, 500) == zagreb_direct(g, 500)
+        assert exponents and max(exponents) <= r < g.n, (g, max(exponents))
+
+
 def test_recurrence_route_memory_stays_order_n_at_high_exponent():
-    # n + 1 running values of at most ~20,000 bits each; keeping all
-    # p + 1 series terms instead would peak at about 3 MB here.
+    # At most n + 1 running values (|D| + 1 of them) of at most ~20,000
+    # bits each; keeping all p + 1 series terms would peak at about 3 MB.
     g = seeded_graph(62, 0.9, 20260902)
     p = 3400
     expected = zagreb_direct(g, p)
