@@ -11,7 +11,11 @@ The identities that read a graph only through its frequency sequence
 compute their ground truth once: one table of direct Z_p values and one
 row of each moment side, shared by every check and note.  sweep_reports
 yields the same reports for a range of labeled graphs, evaluating those
-identities once per distinct sequence.
+identities once per distinct degree profile.  The edge sum and the
+brute-force star counts still run on every graph, and each profile keeps a
+memo from their values to the report's theorems, so the graphs of a
+passing profile share one theorems tuple, with each result's pass status
+computed once.
 """
 
 from __future__ import annotations
@@ -232,6 +236,10 @@ class _ProfileVerdict:
     errata: tuple[ErratumNote, ...]
 
 
+# Per profile: (edge sum, brute-force star counts) -> the report's theorems.
+_ResultMemo = dict[tuple[Fraction, tuple[int, ...]], tuple[TheoremResult, ...]]
+
+
 def _moment_sign_note(lhs: Sequence[int], rhs: Sequence[int]) -> ErratumNote:
     """lhs[m] is the alternating moment for m = 0..m_max, rhs[m-1] the
     frequency-side sum for m = 1..m_max."""
@@ -262,7 +270,7 @@ def _f1_sign_note(s: StarSequence, f: FrequencySequence) -> ErratumNote:
         "versus (-1)^k; the variants split whenever some S_k with k >= 2 is nonzero"
     )
     # The two readings differ only in the sign of the tail over k >= 2.
-    tail = sum((-1) ** (k - 1) * k * s.entry(k) for k in range(2, s.n))
+    tail = sum((-1) ** (k - 1) * k * s.entry(k) for k in range(2, s.top + 1))
     corrected = s.adjusted_first + tail
     flipped = s.adjusted_first - tail
     if flipped != corrected:
@@ -392,27 +400,44 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
 
 
 def _report(
-    g: Graph, verdict: _ProfileVerdict, p_max: int, m_max: int, graph_id: str
+    g: Graph,
+    verdict: _ProfileVerdict,
+    memo: _ResultMemo,
+    p_max: int,
+    m_max: int,
+    graph_id: str,
 ) -> TheoremReport:
-    """Run the per-graph checks on g and merge them with its profile's verdict."""
-    edge_sum = TheoremCheck("edge_sum", inverse_degree_edge_sum(g) - verdict.non_isolated)
-    # Enumerated star counts against the degree formula.
-    bruteforce = tuple(
-        TheoremCheck(f"k={k}", count - verdict.stars.entry(k))
-        for k, count in enumerate(star_counts_bruteforce(g), start=1)
-    )
+    """Run the per-graph checks on g and merge them with its profile's verdict.
+
+    The edge sum and the brute-force star counts are computed on every
+    graph; together with the verdict they fix every residual, so memo, kept
+    per profile, maps each pair of their values to its theorems tuple.
+    Every graph of a passing profile yields the same pair and shares one
+    tuple, pass status included; a per-graph failure gets its own entry.
+    """
+    edge_sum = inverse_degree_edge_sum(g)
+    counts = star_counts_bruteforce(g)
+    theorems = memo.get((edge_sum, counts))
+    if theorems is None:
+        edge_check = TheoremCheck("edge_sum", edge_sum - verdict.non_isolated)
+        # Enumerated star counts against the degree formula.
+        bruteforce = tuple(
+            TheoremCheck(f"k={k}", count - verdict.stars.entry(k))
+            for k, count in enumerate(counts, start=1)
+        )
+        theorems = memo[edge_sum, counts] = (
+            *verdict.leading,
+            TheoremResult("inverse_degree_sum", (edge_check, verdict.f0_check)),
+            *verdict.trailing,
+            TheoremResult("star_bruteforce", bruteforce),
+        )
     return TheoremReport(
         graph_id=graph_id,
         n=g.n,
         m=g.m,
         p_max=p_max,
         m_max=m_max,
-        theorems=(
-            *verdict.leading,
-            TheoremResult("inverse_degree_sum", (edge_sum, verdict.f0_check)),
-            *verdict.trailing,
-            TheoremResult("star_bruteforce", bruteforce),
-        ),
+        theorems=theorems,
         errata=verdict.errata,
     )
 
@@ -444,7 +469,7 @@ def verify_all_identities(
     verdict = _profile_part(g, p_max, m_max)
     if not graph_id:
         graph_id = to_graph6(g) if g.n <= 62 else f"n={g.n},m={g.m}"
-    return _report(g, verdict, p_max, m_max, graph_id)
+    return _report(g, verdict, {}, p_max, m_max, graph_id)
 
 
 def sweep_reports(
@@ -454,9 +479,12 @@ def sweep_reports(
 
     Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
-    graph only through its frequency sequence f run once per distinct f in
-    the range; the edge sum and the brute-force star counts run on every
-    graph.  The per-f results live only as long as the generator.
+    graph only through its degree profile (its sorted degrees, which carry
+    the same information as f) run once per distinct profile in the range;
+    the edge sum and the brute-force star counts run on every graph.  Each
+    profile keeps its verdict and a memo of its per-graph results, so the
+    graphs of a passing profile share one theorems tuple.  Both live only
+    as long as the generator.
     """
     _check_limits(p_max, m_max)
     pairs = _vertex_pairs(n)
@@ -465,19 +493,20 @@ def sweep_reports(
         stop = nmasks
     if not 0 <= start <= stop <= nmasks:
         raise ValueError(f"mask range [{start}, {stop}) out of range for n = {n}")
-    verdicts: dict[FrequencySequence, _ProfileVerdict] = {}
+    profiles: dict[tuple[int, ...], tuple[_ProfileVerdict, _ResultMemo]] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
     for mask in range(start, stop):
         g = _graph_from_mask(n, pairs, mask)
-        verdict = verdicts.get(g.frequency)
-        if verdict is None:
+        profile = tuple(sorted(g.vertex_degrees))
+        entry = profiles.get(profile)
+        if entry is None:
             verdict = _profile_part(g, p_max, m_max)
             verdict = replace(
                 verdict,
                 leading=tuple(results.setdefault(r, r) for r in verdict.leading),
                 trailing=tuple(results.setdefault(r, r) for r in verdict.trailing),
             )
-            verdicts[g.frequency] = verdict
-        yield _report(g, verdict, p_max, m_max, f"n={n}:mask={mask}")
+            entry = profiles[profile] = (verdict, {})
+        yield _report(g, *entry, p_max, m_max, f"n={n}:mask={mask}")

@@ -87,6 +87,16 @@ def test_sweep_output_bytes_pinned(n, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
+def test_sweep_shares_theorems_within_a_profile():
+    # Every graph of a passing profile has the same per-graph values, so the
+    # sweep hands each of them one theorems tuple, built once.
+    first: dict[tuple[int, ...], tuple] = {}
+    for mask, report in enumerate(sweep_reports(5)):
+        profile = labeled_graph_from_mask(5, mask).frequency.counts
+        assert report.theorems is first.setdefault(profile, report.theorems)
+    assert len(first) == 31
+
+
 def test_sweep_subrange_and_validation():
     assert list(sweep_reports(4, 10, 20)) == per_graph_reports(4)[10:20]
     assert list(sweep_reports(3, 5, 5)) == []
@@ -243,20 +253,32 @@ def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
             assert bad == theorems
 
 
+PER_GRAPH_FAULTS = [
+    ("star_counts_bruteforce", "star_bruteforce", "k=1", lambda c: (c[0] + 1, *c[1:])),
+    ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + 1),
+]
+
+
+# Masks 11 and 56 are the first and the last of the four labeled graphs
+# forming a triangle plus an isolated vertex at n = 4: a fault on mask 56
+# comes after the profile's passing results are already memoised.  The
+# mask-11 cases keep the ids they had before mask 56 was added.
 @pytest.mark.parametrize(
-    "name, theorem, label, bump",
+    "name, theorem, label, bump, mask",
     [
-        ("star_counts_bruteforce", "star_bruteforce", "k=1", lambda c: (c[0] + 1, *c[1:])),
-        ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + 1),
+        pytest.param(*case, mask, id=f"{'-'.join(case[:3])}-<lambda>{suffix}")
+        for mask, suffix in ((11, ""), (56, "-mask56"))
+        for case in PER_GRAPH_FAULTS
     ],
 )
 def test_per_graph_fault_fails_exactly_that_graph(
-    capsys, monkeypatch, name, theorem, label, bump
+    capsys, monkeypatch, name, theorem, label, bump, mask
 ):
-    # Mask 11 is a triangle plus an isolated vertex; three other labeled
-    # graphs share its degree profile and must still pass.
-    target = labeled_graph_from_mask(4, 11)
-    assert len(masks_with_profile(4, frequency_sequence(target).counts)) == 4
+    # The three other labeled graphs of the profile must still pass.
+    target = labeled_graph_from_mask(4, mask)
+    profile = masks_with_profile(4, frequency_sequence(target).counts)
+    assert len(profile) == 4
+    assert mask in (min(profile), max(profile))
     real = getattr(oracle, name)
 
     def faulty(g):
@@ -267,7 +289,7 @@ def test_per_graph_fault_fails_exactly_that_graph(
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert rc == 1
     assert len(fail_lines) == 1
-    assert fail_lines[0].startswith("FAIL n=4:mask=11 ")
+    assert fail_lines[0].startswith(f"FAIL n=4:mask={mask} ")
     assert f"  FAIL {theorem}/{label} residual=1" in out
     assert "failures=1 " in out
 
