@@ -12,16 +12,16 @@ compute their ground truth once: one table of direct Z_p values and one
 row of each moment side, shared by every check and note.  sweep_reports
 yields the same reports for a range of labeled graphs, evaluating those
 identities once per distinct degree profile.  The edge sum and the
-brute-force star counts still run on every graph, and each profile keeps a
-memo from their values to the report's theorems, so the graphs of a
-passing profile share one theorems tuple, with each result's pass status
-computed once.
+brute-force star counts still run on every graph; together with the
+profile they fix every theorem, so one memo per sweep, keyed on the
+profile and those two values, hands the graphs of a passing profile one
+theorems tuple, with each result's pass status computed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, islice
@@ -115,9 +115,11 @@ def labeled_graph_from_mask(n: int, mask: int) -> Graph:
     """The labeled graph whose edge set is the given bitmask over vertex
     pairs in lexicographic order: bit 0 is (0,1), bit 1 is (0,2), ...
     """
-    pairs = list(combinations(range(n), 2))
-    if not 0 <= mask < 1 << len(pairs):
+    # Only the pairs up to the mask's top bit are listed, so a sparse mask
+    # costs nothing per vertex pair.
+    if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
         raise ValueError(f"mask out of range for n = {n}")
+    pairs = list(islice(combinations(range(n), 2), mask.bit_length()))
     return _graph_from_mask(n, pairs, mask)
 
 
@@ -224,22 +226,6 @@ class TheoremReport:
         return [(t.name, c) for t in self.theorems for c in t.failures]
 
 
-@dataclass(frozen=True)
-class _ProfileVerdict:
-    """The checks of one degree profile, plus what the per-graph checks need."""
-
-    non_isolated: int
-    stars: StarSequence
-    leading: tuple[TheoremResult, ...]
-    f0_check: TheoremCheck
-    trailing: tuple[TheoremResult, ...]
-    errata: tuple[ErratumNote, ...]
-
-
-# Per profile: (edge sum, brute-force star counts) -> the report's theorems.
-_ResultMemo = dict[tuple[Fraction, tuple[int, ...]], tuple[TheoremResult, ...]]
-
-
 def _moment_sign_note(lhs: Sequence[int], rhs: Sequence[int]) -> ErratumNote:
     """lhs[m] is the alternating moment for m = 0..m_max, rhs[m-1] the
     frequency-side sum for m = 1..m_max."""
@@ -315,15 +301,20 @@ def _recurrence_index_note(n: int, z: Sequence[int], p_max: int) -> ErratumNote:
     return ErratumNote("recurrence_index_base", description, False, None)
 
 
-def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
-    """Every check of verify_all_identities that reads g only through its
-    frequency sequence f; the results are the same for every graph with
-    that f.
+def _profile_part(
+    g: Graph, edge_sum: Fraction, counts: tuple[int, ...], p_max: int, m_max: int
+) -> tuple[tuple[TheoremResult, ...], tuple[ErratumNote, ...]]:
+    """The theorems and erratum notes of g's report, in report order.
 
-    The ground truth is computed once per profile: one table of Z_p by
-    direct powers and one row each of the two moment sides.  Every check
-    and erratum note reads those values, while each library route under
-    test is still called on its own.
+    Every check reads g only through its frequency sequence f, except two
+    that compare the per-graph values passed in: the inverse-degree edge
+    sum and the brute-force star counts.  So the results are the same for
+    every graph with that f and those two values.
+
+    The ground truth is computed once: one table of Z_p by direct powers
+    and one row each of the two moment sides.  Every check and erratum
+    note reads those values, while each library route under test is still
+    called on its own.
     """
     n, f = g.n, g.frequency
     s = star_sequence(g)
@@ -331,7 +322,7 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     z = [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))]
     lhs = [alternating_moment(s, m_exp) for m_exp in range(m_max + 1)]
     rhs = [moment_identity_rhs(f, m_exp) for m_exp in range(1, m_max + 1)]
-    leading = []
+    theorems = []
 
     # Inversion: formula-route star counts against degree counting, and back.
     s_from_f = star_from_frequency(f)
@@ -341,23 +332,27 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
     f_from_s = frequency_from_star(s)
     for i in range(n):
         checks.append(TheoremCheck(f"f{i}", f_from_s.f(i) - f.f(i)))
-    leading.append(TheoremResult("inversion", tuple(checks)))
+    theorems.append(TheoremResult("inversion", tuple(checks)))
 
     # Alternating moments against the frequency-side sums.
     checks = [TheoremCheck("m=0", lhs[0] - sum(f.counts[1:]))]
     for m_exp, right in enumerate(rhs, start=1):
         checks.append(TheoremCheck(f"m={m_exp}", lhs[m_exp] - right))
-    leading.append(TheoremResult("moments", tuple(checks)))
+    theorems.append(TheoremResult("moments", tuple(checks)))
 
-    # The isolated-vertex count from stars; its edge-sum sibling is per graph.
-    f0_check = TheoremCheck("f0_from_stars", isolated_count_from_star(s) - f.isolated)
+    # The inverse-degree edge sum counts the non-isolated vertices, and the
+    # star route the isolated ones.
+    checks = [
+        TheoremCheck("edge_sum", edge_sum - (n - f.isolated)),
+        TheoremCheck("f0_from_stars", isolated_count_from_star(s) - f.isolated),
+    ]
+    theorems.append(TheoremResult("inverse_degree_sum", tuple(checks)))
 
-    trailing = []
     # Star-route Zagreb values against direct powers.
     checks = [
         TheoremCheck(f"p={p}", zagreb_from_stars(s, p) - z[p]) for p in range(1, p_max + 1)
     ]
-    trailing.append(TheoremResult("zagreb_from_stars", tuple(checks)))
+    theorems.append(TheoremResult("zagreb_from_stars", tuple(checks)))
 
     # Generating function: long-division series against direct values, plus
     # both endpoint coefficients.
@@ -371,7 +366,7 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
             gf.numerator[n] - (-1) ** n * math.factorial(n) * f.isolated,
         )
     )
-    trailing.append(TheoremResult("genfunc", tuple(checks)))
+    theorems.append(TheoremResult("genfunc", tuple(checks)))
 
     # Order-n recurrence: the boundary residual must equal the top numerator
     # coefficient, everything past it must vanish (both in the paper's
@@ -382,64 +377,18 @@ def _profile_part(g: Graph, p_max: int, m_max: int) -> _ProfileVerdict:
         checks.append(TheoremCheck(f"residual_p={item.p}", item.residual - expected))
     for p in range(1, p_max + 1):
         checks.append(TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - z[p]))
-    trailing.append(TheoremResult("recurrence", tuple(checks)))
+    theorems.append(TheoremResult("recurrence", tuple(checks)))
+
+    # Enumerated star counts against the degree formula.
+    checks = [TheoremCheck(f"k={k}", c - s.entry(k)) for k, c in enumerate(counts, start=1)]
+    theorems.append(TheoremResult("star_bruteforce", tuple(checks)))
 
     errata = (
         _moment_sign_note(lhs, rhs),
         _f1_sign_note(s, f),
         _recurrence_index_note(n, z, p_max),
     )
-    return _ProfileVerdict(
-        non_isolated=n - f.isolated,
-        stars=s,
-        leading=tuple(leading),
-        f0_check=f0_check,
-        trailing=tuple(trailing),
-        errata=errata,
-    )
-
-
-def _report(
-    g: Graph,
-    verdict: _ProfileVerdict,
-    memo: _ResultMemo,
-    p_max: int,
-    m_max: int,
-    graph_id: str,
-) -> TheoremReport:
-    """Run the per-graph checks on g and merge them with its profile's verdict.
-
-    The edge sum and the brute-force star counts are computed on every
-    graph; together with the verdict they fix every residual, so memo, kept
-    per profile, maps each pair of their values to its theorems tuple.
-    Every graph of a passing profile yields the same pair and shares one
-    tuple, pass status included; a per-graph failure gets its own entry.
-    """
-    edge_sum = inverse_degree_edge_sum(g)
-    counts = star_counts_bruteforce(g)
-    theorems = memo.get((edge_sum, counts))
-    if theorems is None:
-        edge_check = TheoremCheck("edge_sum", edge_sum - verdict.non_isolated)
-        # Enumerated star counts against the degree formula.
-        bruteforce = tuple(
-            TheoremCheck(f"k={k}", count - verdict.stars.entry(k))
-            for k, count in enumerate(counts, start=1)
-        )
-        theorems = memo[edge_sum, counts] = (
-            *verdict.leading,
-            TheoremResult("inverse_degree_sum", (edge_check, verdict.f0_check)),
-            *verdict.trailing,
-            TheoremResult("star_bruteforce", bruteforce),
-        )
-    return TheoremReport(
-        graph_id=graph_id,
-        n=g.n,
-        m=g.m,
-        p_max=p_max,
-        m_max=m_max,
-        theorems=theorems,
-        errata=verdict.errata,
-    )
+    return tuple(theorems), errata
 
 
 def _check_limits(p_max: int, m_max: int) -> None:
@@ -466,10 +415,12 @@ def verify_all_identities(
             f"n = {g.n} is above the brute-force limit of {MAX_BRUTEFORCE_N} vertices: "
             "verify counts stars over up to n * 2^(n-1) neighbour subsets"
         )
-    verdict = _profile_part(g, p_max, m_max)
+    theorems, errata = _profile_part(
+        g, inverse_degree_edge_sum(g), star_counts_bruteforce(g), p_max, m_max
+    )
     if not graph_id:
         graph_id = to_graph6(g) if g.n <= 62 else f"n={g.n},m={g.m}"
-    return _report(g, verdict, {}, p_max, m_max, graph_id)
+    return TheoremReport(graph_id, g.n, g.m, p_max, m_max, theorems, errata)
 
 
 def sweep_reports(
@@ -481,10 +432,11 @@ def sweep_reports(
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
     the same information as f) run once per distinct profile in the range;
-    the edge sum and the brute-force star counts run on every graph.  Each
-    profile keeps its verdict and a memo of its per-graph results, so the
-    graphs of a passing profile share one theorems tuple.  Both live only
-    as long as the generator.
+    the edge sum and the brute-force star counts run on every graph.  One
+    memo, keyed on the profile and those two values, maps each key to its
+    theorems and errata, so the graphs of a passing profile share one
+    theorems tuple; a per-graph failure is a key of its own.  The memo
+    lives only as long as the generator.
     """
     _check_limits(p_max, m_max)
     pairs = _vertex_pairs(n)
@@ -493,20 +445,19 @@ def sweep_reports(
         stop = nmasks
     if not 0 <= start <= stop <= nmasks:
         raise ValueError(f"mask range [{start}, {stop}) out of range for n = {n}")
-    profiles: dict[tuple[int, ...], tuple[_ProfileVerdict, _ResultMemo]] = {}
+    # (sorted degrees, edge sum, brute-force star counts) -> (theorems, errata)
+    memo: dict[tuple, tuple] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
     for mask in range(start, stop):
         g = _graph_from_mask(n, pairs, mask)
-        profile = tuple(sorted(g.vertex_degrees))
-        entry = profiles.get(profile)
+        edge_sum = inverse_degree_edge_sum(g)
+        counts = star_counts_bruteforce(g)
+        key = (tuple(sorted(g.vertex_degrees)), edge_sum, counts)
+        entry = memo.get(key)
         if entry is None:
-            verdict = _profile_part(g, p_max, m_max)
-            verdict = replace(
-                verdict,
-                leading=tuple(results.setdefault(r, r) for r in verdict.leading),
-                trailing=tuple(results.setdefault(r, r) for r in verdict.trailing),
-            )
-            entry = profiles[profile] = (verdict, {})
-        yield _report(g, *entry, p_max, m_max, f"n={n}:mask={mask}")
+            theorems, errata = _profile_part(g, edge_sum, counts, p_max, m_max)
+            theorems = tuple(results.setdefault(r, r) for r in theorems)
+            entry = memo[key] = (theorems, errata)
+        yield TheoremReport(f"n={n}:mask={mask}", n, g.m, p_max, m_max, *entry)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -136,6 +137,18 @@ def test_labeled_graph_from_mask():
         labeled_graph_from_mask(3, 8)
     with pytest.raises(ValueError):
         labeled_graph_from_mask(3, -1)
+    # A mask one bit longer than the C(n, 2) pairs.
+    with pytest.raises(ValueError):
+        labeled_graph_from_mask(5, 1 << 10)
+    # A one-edge mask lists only the pairs up to its top bit, not all C(n, 2).
+    tracemalloc.start()
+    try:
+        g = labeled_graph_from_mask(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges == {(0, 1)}
+    assert peak < 1 << 20
 
 
 def test_enumeration_matches_mask_lookup():

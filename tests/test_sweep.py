@@ -97,6 +97,31 @@ def test_sweep_shares_theorems_within_a_profile():
     assert len(first) == 31
 
 
+def test_sweep_shares_per_graph_results_across_profiles():
+    # Every passing graph has equal edge-sum and brute-force results, label
+    # for label, so the sweep keeps one object of each for all profiles.
+    reports = list(sweep_reports(5))
+    names = [t.name for t in reports[0].theorems]
+    for name in ("inverse_degree_sum", "star_bruteforce"):
+        i = names.index(name)
+        assert all(r.theorems[i] is reports[0].theorems[i] for r in reports), name
+
+
+def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
+    # The memo key holds nothing graph-specific beyond the two per-graph
+    # values, so a passing sweep evaluates each degree profile once.
+    calls = []
+    real = oracle._profile_part
+
+    def counting(g, *args):
+        calls.append(tuple(sorted(g.vertex_degrees)))
+        return real(g, *args)
+
+    monkeypatch.setattr(oracle, "_profile_part", counting)
+    assert all(r.passed for r in sweep_reports(5))
+    assert len(calls) == len(set(calls)) == 31
+
+
 def test_sweep_subrange_and_validation():
     assert list(sweep_reports(4, 10, 20)) == per_graph_reports(4)[10:20]
     assert list(sweep_reports(3, 5, 5)) == []
