@@ -6,12 +6,7 @@ the inverse-degree edge sum.  See the cli module for the command-line
 surface.
 """
 
-from .combinatorics import (
-    binomial,
-    falling_factorial_coeffs,
-    stirling1_signed,
-    stirling2,
-)
+from .combinatorics import binomial, falling_factorial_coeffs
 from .graph import (
     FrequencySequence,
     Graph,
@@ -60,12 +55,10 @@ from .zagreb import (
     zagreb_from_stars,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "binomial",
-    "stirling2",
-    "stirling1_signed",
     "falling_factorial_coeffs",
     "Graph",
     "GraphFormatError",

@@ -1,5 +1,6 @@
-"""Exact integer combinatorics: binomials, Stirling numbers, and the
-coefficients of (1 - t)(1 - 2t) ... (1 - nt).
+"""Exact integer combinatorics: binomials, the surjection numbers i! {p, i}
+(Stirling numbers of the second kind times i!), the rows of signed Stirling
+numbers of the first kind, and the coefficients of (1 - t)(1 - 2t) ... (1 - nt).
 
 Everything returns plain Python integers, so results stay exact at any
 size.  No floating point is used anywhere in this package.  Nothing is
@@ -10,15 +11,13 @@ and memory are bounded by its own arguments.
 from __future__ import annotations
 
 import math
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
 __all__ = [
     "binomial",
     "surjection_row",
-    "stirling2",
     "stirling1_rows",
-    "stirling1_signed",
     "falling_factorial_coeffs",
 ]
 
@@ -50,15 +49,6 @@ def surjection_row(p: int, k: int) -> list[int]:
     return row
 
 
-def stirling2(p: int, k: int) -> int:
-    """Stirling number of the second kind {p, k}; {0, 0} = 1."""
-    if p < 0 or k < 0:
-        raise ValueError("Stirling indices must be non-negative")
-    if k > p:
-        return 0
-    return surjection_row(p, k)[k] // math.factorial(k)
-
-
 def stirling1_rows() -> Iterator[list[int]]:
     """Rows s(q, 0..q) of signed Stirling numbers of the first kind, q = 0, 1, ...
 
@@ -70,15 +60,6 @@ def stirling1_rows() -> Iterator[list[int]]:
     for q in count():
         yield row
         row = [a - q * b for a, b in zip([0, *row], [*row, 0])]
-
-
-def stirling1_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError("Stirling indices must be non-negative")
-    if k > n:
-        return 0
-    return next(islice(stirling1_rows(), n, None))[k]
 
 
 def falling_factorial_coeffs(n: int) -> list[int]:

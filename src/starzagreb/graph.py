@@ -91,9 +91,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     @cached_property
     def vertex_degrees(self) -> tuple[int, ...]:
         """deg(v) for v = 0..n-1, tallied from the edges once per instance."""

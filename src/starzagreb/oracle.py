@@ -418,9 +418,7 @@ def verify_all_identities(
     theorems, errata = _profile_part(
         g, inverse_degree_edge_sum(g), star_counts_bruteforce(g), p_max, m_max
     )
-    if not graph_id:
-        graph_id = to_graph6(g) if g.n <= 62 else f"n={g.n},m={g.m}"
-    return TheoremReport(graph_id, g.n, g.m, p_max, m_max, theorems, errata)
+    return TheoremReport(graph_id or to_graph6(g), g.n, g.m, p_max, m_max, theorems, errata)
 
 
 def sweep_reports(

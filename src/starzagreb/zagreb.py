@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
-from .combinatorics import falling_factorial_coeffs, stirling1_rows, surjection_row
+from .combinatorics import stirling1_rows, surjection_row
 from .graph import Graph
 from .star import StarSequence
 
@@ -76,10 +76,6 @@ class ZagrebGenFunc:
     def strictly_proper(self) -> bool:
         """True when the numerator degree is below the denominator degree (a_n = 0)."""
         return self.numerator[-1] == 0
-
-    def denominator_coeffs(self) -> list[int]:
-        """c_0..c_n of (1-t)(1-2t)...(1-nt)."""
-        return falling_factorial_coeffs(self.n)
 
     def denominator_factors(self) -> list[str]:
         return ["1-t"] + [f"1-{j}t" for j in range(2, self.n + 1)]

@@ -1,16 +1,18 @@
 """Combinatorics against independent oracles.
 
-Binomials are rechecked with the Pascal recurrence, Stirling numbers of the
-second kind by actually enumerating set partitions, and Stirling numbers of
-the first kind by expanding x(x-1)...(x-n+1) as a polynomial.  Both kinds
-are also checked against the classic triangle recurrences, kept here as a
-reference for the library's closed form and row generator.
+Binomials are rechecked with the Pascal recurrence, the surjection numbers
+k! {p, k} by actually enumerating set partitions, and the rows of signed
+Stirling numbers of the first kind by expanding x(x-1)...(x-n+1) as a
+polynomial.  Both kinds are also checked against the classic triangle
+recurrences, kept here as a reference for the library's forward-difference
+row `surjection_row` and row generator `stirling1_rows`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -18,8 +20,6 @@ from starzagreb.combinatorics import (
     binomial,
     falling_factorial_coeffs,
     stirling1_rows,
-    stirling1_signed,
-    stirling2,
     surjection_row,
 )
 
@@ -67,6 +67,11 @@ def set_partitions(items: tuple[int, ...], k: int):
         yield blocks + [{first}]
 
 
+def stirling1_row(n: int) -> list[int]:
+    """Row n of stirling1_rows(), s(n, 0..n), from a fresh generator."""
+    return next(islice(stirling1_rows(), n, None))
+
+
 def expand_falling_factorial(n: int) -> list[int]:
     """Coefficients of x(x-1)...(x-n+1), lowest power first."""
     coeffs = [1]
@@ -100,36 +105,29 @@ def test_binomial_matches_pascal_recurrence():
 
 
 def test_stirling2_known_values():
-    assert stirling2(0, 0) == 1
-    assert stirling2(3, 2) == 3
-    assert stirling2(4, 2) == 7
-    assert stirling2(7, 1) == 1
-    assert stirling2(2, 5) == 0
-    assert stirling2(4, 0) == 0
+    # (p, k, {p, k}): surjection_row(p, k)[k] is k! {p, k}
+    for p, k, expected in ((0, 0, 1), (3, 2, 3), (4, 2, 7), (7, 1, 1), (2, 5, 0), (4, 0, 0)):
+        assert surjection_row(p, k)[k] == math.factorial(k) * expected, (p, k)
 
 
 def test_stirling2_counts_actual_set_partitions():
     for p in range(8):
         for k in range(p + 2):
             expected = sum(1 for _ in set_partitions(tuple(range(p)), k))
-            assert stirling2(p, k) == expected, (p, k)
+            assert surjection_row(p, k)[k] == math.factorial(k) * expected, (p, k)
 
 
 def test_stirling1_known_values():
     # x(x-1)(x-2) = x^3 - 3x^2 + 2x
-    assert stirling1_signed(3, 3) == 1
-    assert stirling1_signed(3, 2) == -3
-    assert stirling1_signed(3, 1) == 2
-    assert stirling1_signed(3, 0) == 0
-    assert stirling1_signed(0, 0) == 1
-    assert stirling1_signed(2, 4) == 0
+    assert stirling1_row(3) == [0, 2, -3, 1]
+    assert stirling1_row(0) == [1]
+    # s(2, k) = 0 for k > 2: the row stops at k = n
+    assert len(stirling1_row(2)) == 3
 
 
 def test_stirling1_matches_polynomial_expansion():
     for n in range(11):
-        coeffs = expand_falling_factorial(n)
-        for k in range(n + 1):
-            assert stirling1_signed(n, k) == coeffs[k], (n, k)
+        assert stirling1_row(n) == expand_falling_factorial(n), n
 
 
 def test_falling_factorial_coeffs_small():
@@ -142,8 +140,9 @@ def test_falling_factorial_coeffs_match_stirling1():
     for n in range(13):
         coeffs = falling_factorial_coeffs(n)
         assert len(coeffs) == n + 1
+        row = stirling1_row(n + 1)
         for i in range(n + 1):
-            assert coeffs[i] == stirling1_signed(n + 1, n + 1 - i), (n, i)
+            assert coeffs[i] == row[n + 1 - i], (n, i)
 
 
 def test_power_sum_identity():
@@ -151,15 +150,16 @@ def test_power_sum_identity():
     for p in range(1, 13):
         for k in range(1, 13):
             lhs = sum((-1) ** (k - i) * binomial(k, i) * i**p for i in range(1, k + 1))
-            assert lhs == math.factorial(k) * stirling2(p, k), (p, k)
+            assert lhs == surjection_row(p, k)[k], (p, k)
 
 
 def test_stirling_orthogonality():
-    # sum_k s(n, k) {k, m} = [n == m]
+    # sum_k s(n, k) {k, m} = [n == m], scaled by m! to read m! {k, m}
     for n in range(13):
+        row = stirling1_row(n)
         for m in range(13):
-            total = sum(stirling1_signed(n, k) * stirling2(k, m) for k in range(n + 1))
-            assert total == (1 if n == m else 0), (n, m)
+            total = sum(row[k] * surjection_row(k, m)[m] for k in range(n + 1))
+            assert total == (math.factorial(m) if n == m else 0), (n, m)
 
 
 def test_stirling2_matches_triangle_recurrence():
@@ -167,15 +167,14 @@ def test_stirling2_matches_triangle_recurrence():
     for p in range(TRIANGLE_SIZE + 1):
         for k in range(TRIANGLE_SIZE + 1):
             expected = second[p][k] if k <= p else 0
-            assert stirling2(p, k) == expected, (p, k)
+            assert surjection_row(p, k)[k] == math.factorial(k) * expected, (p, k)
 
 
 def test_stirling1_matches_triangle_recurrence():
     _, first = stirling_triangles(TRIANGLE_SIZE)
     for n in range(TRIANGLE_SIZE + 1):
-        for k in range(TRIANGLE_SIZE + 1):
-            expected = first[n][k] if k <= n else 0
-            assert stirling1_signed(n, k) == expected, (n, k)
+        # s(n, k) = 0 for k > n: the row stops at k = n
+        assert stirling1_row(n) == first[n], n
 
 
 def test_rows_match_triangle_recurrence():
@@ -190,10 +189,6 @@ def test_rows_match_triangle_recurrence():
 
 def test_negative_indices_rejected():
     for bad in ((-1, 0), (2, -1)):
-        with pytest.raises(ValueError):
-            stirling2(*bad)
-        with pytest.raises(ValueError):
-            stirling1_signed(*bad)
         with pytest.raises(ValueError):
             surjection_row(*bad)
     with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ def test_labeled_graph_from_mask():
     assert labeled_graph_from_mask(3, 0b111) == complete(3)
     assert labeled_graph_from_mask(3, 0).m == 0
     # bit 0 is the pair (0,1)
-    assert labeled_graph_from_mask(3, 1).sorted_edges() == [(0, 1)]
+    assert sorted(labeled_graph_from_mask(3, 1).edges) == [(0, 1)]
     with pytest.raises(ValueError):
         labeled_graph_from_mask(3, 8)
     with pytest.raises(ValueError):

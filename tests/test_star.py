@@ -262,7 +262,7 @@ def _is_path(g) -> bool:
     seen = {0}
     frontier = [0]
     adj = {v: set() for v in range(g.n)}
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         adj[u].add(v)
         adj[v].add(u)
     while frontier:

@@ -344,8 +344,16 @@ RecordingContext = SimpleNamespace(Pool=RecordingPool)
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Only the worker pool needs multiprocessing, so the CLI loads it there;
     # the pool tests below patch the module's own get_context for that reason.
+    # The probe also lists the top-level modules the import adds from outside
+    # the standard library: the package has no runtime dependency.  Modules
+    # the interpreter preloads at start-up are taken out first.
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, starzagreb.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import starzagreb, starzagreb.cli; "
+        "print('multiprocessing' in sys.modules); "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'starzagreb'}))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -353,7 +361,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False\n[]\n"
 
 
 @pytest.mark.parametrize(
