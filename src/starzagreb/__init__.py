@@ -2,102 +2,26 @@
 for simple graphs, with a brute-force verifier for every identity.
 
 All arithmetic is exact: arbitrary-precision integers plus rationals for
-the inverse-degree edge sum.  See the cli module for the command-line
-surface.
+the inverse-degree edge sum.  The package exports every name in the
+`__all__` of its five library modules (combinatorics, graph, star, zagreb
+and oracle), and declares none of its own.  See the cli module for the
+command-line surface.
 """
 
-from .combinatorics import binomial, falling_factorial_coeffs
-from .graph import (
-    FrequencySequence,
-    Graph,
-    GraphFormatError,
-    degrees,
-    frequency_sequence,
-    parse_edge_list,
-    parse_graph6,
-    to_graph6,
-)
-from .oracle import (
-    MAX_BRUTEFORCE_N,
-    MAX_ENUM_N,
-    ErratumNote,
-    TheoremCheck,
-    TheoremReport,
-    TheoremResult,
-    all_labeled_graphs,
-    count_stars_bruteforce,
-    labeled_graph_from_mask,
-    series_expand_rational,
-    star_counts_bruteforce,
-    verify_all_identities,
-)
-from .star import (
-    Classification,
-    InconsistentSequenceError,
-    StarSequence,
-    alternating_moment,
-    classify,
-    frequency_from_star,
-    inverse_degree_edge_sum,
-    isolated_count_from_star,
-    moment_identity_rhs,
-    star_from_frequency,
-    star_sequence,
-)
-from .zagreb import (
-    RecurrenceCheck,
-    ZagrebGenFunc,
-    genfunc_numerator,
-    recurrence_coeffs,
-    verify_recurrence,
-    zagreb_by_recurrence,
-    zagreb_direct,
-    zagreb_from_stars,
-)
+from . import combinatorics, graph, oracle, star, zagreb
+from .combinatorics import *
+from .graph import *
+from .oracle import *
+from .star import *
+from .zagreb import *
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
-    "binomial",
-    "falling_factorial_coeffs",
-    "Graph",
-    "GraphFormatError",
-    "FrequencySequence",
-    "parse_edge_list",
-    "parse_graph6",
-    "to_graph6",
-    "degrees",
-    "frequency_sequence",
-    "StarSequence",
-    "Classification",
-    "InconsistentSequenceError",
-    "star_sequence",
-    "star_from_frequency",
-    "frequency_from_star",
-    "alternating_moment",
-    "moment_identity_rhs",
-    "inverse_degree_edge_sum",
-    "isolated_count_from_star",
-    "classify",
-    "ZagrebGenFunc",
-    "RecurrenceCheck",
-    "zagreb_direct",
-    "zagreb_from_stars",
-    "genfunc_numerator",
-    "recurrence_coeffs",
-    "zagreb_by_recurrence",
-    "verify_recurrence",
-    "MAX_ENUM_N",
-    "MAX_BRUTEFORCE_N",
-    "TheoremCheck",
-    "TheoremResult",
-    "ErratumNote",
-    "TheoremReport",
-    "count_stars_bruteforce",
-    "star_counts_bruteforce",
-    "all_labeled_graphs",
-    "labeled_graph_from_mask",
-    "series_expand_rational",
-    "verify_all_identities",
+    *combinatorics.__all__,
+    *graph.__all__,
+    *star.__all__,
+    *zagreb.__all__,
+    *oracle.__all__,
     "__version__",
 ]

@@ -55,6 +55,8 @@ def test_graph_normalizes_and_validates():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(0, [])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(3, frozenset({(1, 1)}))
 
 
 def test_degrees_and_frequency():
@@ -76,6 +78,10 @@ def test_frequency_sequence_validation():
     ok = FrequencySequence((1, 1))
     assert ok.isolated == 1
     assert FrequencySequence((1, 1, 1)).n == 3
+    with pytest.raises(ValueError, match="at least one vertex"):
+        FrequencySequence(())
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        ok.f(-1)
 
 
 def test_parse_edge_list_basic():

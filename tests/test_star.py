@@ -95,6 +95,8 @@ def test_alternating_moment_claw():
     assert alternating_moment(s, 1) == 3
     assert alternating_moment(s, 2) == 3
     assert alternating_moment(s, 3) == 9
+    with pytest.raises(ValueError, match="moment exponent must be non-negative"):
+        alternating_moment(s, -1)
 
 
 def test_moment_identity_rhs_frozen_values():
@@ -128,6 +130,9 @@ def test_isolated_count_from_star():
     assert isolated_count_from_star(star_sequence(k2_plus_isolated())) == 1
     assert isolated_count_from_star(star_sequence(edgeless(5))) == 5
     assert isolated_count_from_star(star_sequence(cycle(4))) == 0
+    # S_1 = 2 on two vertices gives an m = 0 moment of 4, so f_0 = 2 - 4.
+    with pytest.raises(InconsistentSequenceError, match="force f_0 = -2"):
+        isolated_count_from_star(StarSequence(2, 2, ()))
 
 
 def test_inverse_degree_edge_sum_values():
@@ -288,6 +293,9 @@ def test_classify_sees_sequences_not_graphs():
     padded = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert classify(star_sequence(padded)).label == "regular(2)"
 
+    # 2S_1 = 3 * S_3 fits the 3-regular shape, but S_2 != C(3, 2) * S_3.
+    assert classify(StarSequence(5, 3, (5, 2, 0))).label == "other"
+
 
 def test_star_sequence_validation():
     with pytest.raises(ValueError):
@@ -298,6 +306,8 @@ def test_star_sequence_validation():
         StarSequence(3, 0, (0, 0))  # higher must have length n - 2
     with pytest.raises(ValueError):
         StarSequence(3, 0, (-2,))
+    with pytest.raises(ValueError, match="a single vertex has no edges"):
+        StarSequence(1, 1, ())
 
 
 @given(graphs(min_n=2, max_n=8))

@@ -104,6 +104,8 @@ def test_zagreb_direct_frozen_values():
 def test_zagreb_direct_rejects_negative_exponent():
     with pytest.raises(ValueError):
         zagreb_direct(path(3), -1)
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        zagreb_by_recurrence(path(3), -1)
 
 
 def test_zagreb_trivial_exponents():
@@ -168,6 +170,10 @@ def test_genfunc_shape_and_properness():
     iso = genfunc_numerator(k2_plus_isolated())
     assert not iso.strictly_proper
     assert iso.numerator[-1] == -6  # (-1)^n * n! * f_0 = -6 * 1
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ZagrebGenFunc(0, (0,))
+    with pytest.raises(ValueError, match="expected 3 numerator coefficients"):
+        ZagrebGenFunc(2, (1, 2))
 
 
 def test_genfunc_top_coefficient_tracks_isolated_count():
@@ -206,6 +212,8 @@ def test_recurrence_coeffs_small():
     assert recurrence_coeffs(3) == [-6, 11, -6]
     assert recurrence_coeffs(1) == [-1]
     assert recurrence_coeffs(2) == [-3, 2]
+    with pytest.raises(ValueError, match="recurrence needs at least one vertex"):
+        recurrence_coeffs(0)
 
 
 def test_recurrence_coeffs_match_denominator():
