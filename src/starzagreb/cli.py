@@ -34,8 +34,6 @@ from typing import Iterable, Iterator, Sequence
 from .graph import (
     Graph,
     GraphFormatError,
-    degrees,
-    frequency_sequence,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -56,7 +54,6 @@ __all__ = ["main", "cmd_info", "cmd_zagreb", "cmd_genfunc", "cmd_verify"]
 # records
 
 def info_record(identifier: str, g: Graph) -> dict:
-    f = frequency_sequence(g)
     s = star_sequence(g)
     cls = classify(s) if g.n >= 2 else Classification("other")
     return {
@@ -65,8 +62,8 @@ def info_record(identifier: str, g: Graph) -> dict:
         "graph6": to_graph6(g) if g.n <= 62 else None,
         "n": g.n,
         "m": g.m,
-        "degrees": degrees(g),
-        "frequency": list(f.counts),
+        "degrees": list(g.vertex_degrees),
+        "frequency": list(g.frequency.counts),
         "stars": {
             "s1": str(s.s1),
             "first_doubled": str(s.adjusted_first),

@@ -20,7 +20,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "to_graph6",
-    "degrees",
     "frequency_sequence",
 ]
 
@@ -241,11 +240,6 @@ def to_graph6(g: Graph) -> str:
     return chr(g.n + 63) + "".join(chr(x + 63) for x in groups)
 
 
-def degrees(g: Graph) -> list[int]:
-    """Per-vertex degree list, a fresh copy of g's cached tally; its sum is 2m."""
-    return list(g.vertex_degrees)
-
-
 def frequency_sequence(g: Graph) -> FrequencySequence:
-    """f_i, the number of vertices of degree i, for i = 0..n-1 (cached on g)."""
+    """f_i, the number of vertices of degree i, for i = 0..n-1: the cached g.frequency."""
     return g.frequency

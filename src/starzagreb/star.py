@@ -152,9 +152,10 @@ def frequency_from_star(s: StarSequence) -> FrequencySequence:
 
     f_i = sum_{k>=i} (-1)^(k-i) C(k, i) S_k for i >= 2, while the
     degree-one count picks up the doubled first entry:
-    f_1 = 2*S_1 + sum_{k>=2} (-1)^(k-1) k S_k.  Whatever vertex count is
-    left over is f_0.  Any negative intermediate means the input matches
-    no simple graph.  S_k = 0 past s.top, so both sums stop there.
+    f_1 = 2*S_1 + sum_{k>=2} (-1)^(k-1) k S_k, which is
+    alternating_moment(s, 1).  Whatever vertex count is left over is f_0.
+    Any negative intermediate means the input matches no simple graph.
+    S_k = 0 past s.top, so both sums stop there.
     """
     n, top = s.n, s.top
     counts = [0] * n
@@ -163,9 +164,7 @@ def frequency_from_star(s: StarSequence) -> FrequencySequence:
             (-1) ** (k - i) * binomial(k, i) * s.entry(k) for k in range(i, top + 1)
         )
     if n >= 2:
-        counts[1] = s.adjusted_first + sum(
-            (-1) ** (k - 1) * k * s.entry(k) for k in range(2, top + 1)
-        )
+        counts[1] = alternating_moment(s, 1)
     counts[0] = n - sum(counts[1:])
     for i, c in enumerate(counts):
         if c < 0:

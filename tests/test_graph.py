@@ -15,7 +15,6 @@ from starzagreb.graph import (
     Graph,
     GraphFormatError,
     FrequencySequence,
-    degrees,
     frequency_sequence,
     parse_edge_list,
     parse_graph6,
@@ -61,7 +60,7 @@ def test_graph_normalizes_and_validates():
 
 def test_degrees_and_frequency():
     g = star(3)
-    assert degrees(g) == [3, 1, 1, 1]
+    assert list(g.vertex_degrees) == [3, 1, 1, 1]
     f = frequency_sequence(g)
     assert f.counts == (0, 3, 0, 1)
     assert f.n == 4
@@ -137,7 +136,7 @@ def test_graph6_known_strings():
     g = parse_graph6("Bw")
     assert g.n == 3 and g.m == 3
     claw = parse_graph6(to_graph6(star(3)))
-    assert sorted(degrees(claw)) == [1, 1, 1, 3]
+    assert sorted(claw.vertex_degrees) == [1, 1, 1, 3]
 
 
 def test_graph6_header_is_stripped():
@@ -188,13 +187,13 @@ def test_named_builders_shape():
 
 @given(graphs(max_n=8))
 def test_degree_sum_is_twice_edge_count(g):
-    assert sum(degrees(g)) == 2 * g.m
+    assert sum(g.vertex_degrees) == 2 * g.m
 
 
 @given(graphs(max_n=8))
 def test_frequency_counts_degrees(g):
     f = frequency_sequence(g)
-    degs = degrees(g)
+    degs = list(g.vertex_degrees)
     for i in range(g.n):
         assert f.f(i) == degs.count(i)
 
@@ -202,30 +201,32 @@ def test_frequency_counts_degrees(g):
 @given(graphs(max_n=12))
 def test_cached_degrees_and_frequency_match_a_recount(g):
     recount = [sum(w in e for e in g.edges) for w in range(g.n)]
-    assert degrees(g) == recount
+    assert list(g.vertex_degrees) == recount
     assert frequency_sequence(g).counts == tuple(recount.count(d) for d in range(g.n))
 
 
 def test_degrees_returns_a_fresh_list():
     g = path(4)
-    first = degrees(g)
+    assert isinstance(g.vertex_degrees, tuple)
+    first = list(g.vertex_degrees)
     first[0] = 99
     first.append(7)
-    assert degrees(g) == [1, 2, 2, 1]
+    assert g.vertex_degrees == (1, 2, 2, 1)
+    assert g.frequency.counts == (0, 2, 2, 0)
     assert frequency_sequence(g).counts == (0, 2, 2, 0)
 
 
 @given(graphs(max_n=8))
 def test_filled_cache_leaves_equality_hash_and_pickle_alone(g):
     cached = Graph(g.n, g.edges)
-    degrees(cached)
+    list(cached.vertex_degrees)
     frequency_sequence(cached)
     fresh = Graph(g.n, g.edges)
     assert cached == fresh and hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh)
     restored = pickle.loads(pickle.dumps(cached))
     assert restored == fresh and hash(restored) == hash(fresh)
-    assert degrees(restored) == degrees(fresh)
+    assert list(restored.vertex_degrees) == list(fresh.vertex_degrees)
     assert frequency_sequence(restored) == frequency_sequence(fresh)
 
 

@@ -104,7 +104,7 @@ def test_star_counts_read_only_the_edges(monkeypatch):
 
     monkeypatch.setattr(combinatorics_module, "binomial", refuse)
     monkeypatch.setattr(star_module, "binomial", refuse)
-    # degrees() and frequency_sequence() read these two caches.
+    # frequency_sequence() and every other degree-profile read go through these two caches.
     monkeypatch.setattr(Graph, "vertex_degrees", property(refuse))
     monkeypatch.setattr(Graph, "frequency", property(refuse))
     assert star_counts_bruteforce(star(3)) == (3, 3, 1)

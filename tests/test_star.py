@@ -9,7 +9,7 @@ from hypothesis import given
 
 import starzagreb.star as star_module
 from starzagreb.combinatorics import binomial
-from starzagreb.graph import FrequencySequence, Graph, degrees, frequency_sequence
+from starzagreb.graph import FrequencySequence, Graph, frequency_sequence
 from starzagreb.star import (
     InconsistentSequenceError,
     StarSequence,
@@ -154,7 +154,7 @@ def test_inverse_degree_edge_sum_equals_nonisolated_count():
 
 @given(graphs(max_n=12))
 def test_inverse_degree_edge_sum_matches_per_edge_fractions(g):
-    degs = degrees(g)
+    degs = g.vertex_degrees
     expected = sum(
         (Fraction(1, degs[u]) + Fraction(1, degs[v]) for u, v in g.edges), Fraction(0)
     )
@@ -163,7 +163,7 @@ def test_inverse_degree_edge_sum_matches_per_edge_fractions(g):
 
 @given(graphs(max_n=10))
 def test_top_is_the_maximum_degree(g):
-    assert star_sequence(g).top == max(degrees(g))
+    assert star_sequence(g).top == max(g.vertex_degrees)
 
 
 @pytest.fixture
@@ -208,7 +208,7 @@ def test_star_sequence_walks_each_vertex_row(binomial_calls):
 
 @given(graphs(max_n=12))
 def test_star_sequences_equal_the_untruncated_formula(g):
-    degs = degrees(g)
+    degs = g.vertex_degrees
     f = frequency_sequence(g).counts
     by_vertex = tuple(sum(binomial(d, k) for d in degs) for k in range(2, g.n))
     by_frequency = tuple(
@@ -243,11 +243,9 @@ def test_classify_rejects_single_vertex():
 
 
 def test_classify_sound_for_actual_regular_and_path_graphs():
-    from starzagreb.graph import degrees
-
     for n in range(2, 6):
         for g in all_labeled_graphs(n):
-            degs = sorted(degrees(g))
+            degs = sorted(g.vertex_degrees)
             got = classify(star_sequence(g))
             if len(set(degs)) == 1 and degs[0] >= 1:
                 if g.n == 2 and degs[0] == 1:
@@ -260,9 +258,7 @@ def test_classify_sound_for_actual_regular_and_path_graphs():
 
 def _is_path(g) -> bool:
     # connected with degree multiset {1,1,2,...,2}
-    from starzagreb.graph import degrees
-
-    if g.n < 2 or sorted(degrees(g)) != [1, 1] + [2] * (g.n - 2):
+    if g.n < 2 or sorted(g.vertex_degrees) != [1, 1] + [2] * (g.n - 2):
         return False
     seen = {0}
     frontier = [0]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starzagreb.combinatorics import falling_factorial_coeffs
-from starzagreb.graph import Graph, degrees, frequency_sequence
+from starzagreb.graph import Graph, frequency_sequence
 from starzagreb.star import alternating_moment, moment_identity_rhs, star_sequence
 from starzagreb.zagreb import (
     ZagrebGenFunc,
