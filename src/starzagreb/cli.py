@@ -41,7 +41,8 @@ from .graph import (
 from .oracle import (
     MAX_ENUM_N,
     TheoremReport,
-    sweep_reports,
+    _profile_memo,
+    _sweep_masks,
     verify_all_identities,
 )
 from .star import Classification, classify, star_sequence
@@ -370,9 +371,9 @@ def _report_outcome(report: TheoremReport, as_json: bool, compact: bool) -> _Out
     return ("report", text, report.check_count, report.passed, len(_triggered_ids(report)))
 
 
-def _verify_mask_range(task: tuple[int, int, int, int, int, bool]) -> Iterator[_Outcome]:
-    n, start, stop, p_max, m_max, as_json = task
-    for report in sweep_reports(n, start, stop, p_max=p_max, m_max=m_max):
+def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[_Outcome]:
+    n, start, stop, memo, p_max, m_max, as_json = task
+    for report in _sweep_masks(n, start, stop, memo, p_max, m_max):
         yield _report_outcome(report, as_json, True)
 
 
@@ -436,9 +437,9 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
             yield from pending.popleft().get()
 
 
-# Largest mask range one exhaustive-sweep task covers on two or more
-# workers.  Each task keeps its own per-profile results, so larger ranges
-# repeat less profile work.
+# Largest mask range one exhaustive-sweep task covers.  Every task is
+# sent the memo of all degree profiles, evaluated once here, so a range
+# repeats no profile work.
 SWEEP_RANGE = 1 << 12
 
 
@@ -457,12 +458,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--exhaustive requires --n")
         if not 1 <= args.n <= MAX_ENUM_N:
             return _usage_error(f"--n must be between 1 and {MAX_ENUM_N}")
+        memo = _profile_memo(args.n, args.p_max, args.m_max)
         nmasks = 1 << (args.n * (args.n - 1) // 2)
-        # A single worker sweeps every mask in one task, so it evaluates
-        # each degree profile once.
-        size = min(SWEEP_RANGE, max(1, nmasks >> 3)) if _workers(args.jobs) > 1 else nmasks
+        size = min(SWEEP_RANGE, max(1, nmasks >> 3))
         ranges = (
-            (args.n, lo, min(lo + size, nmasks), args.p_max, args.m_max, args.json)
+            (args.n, lo, min(lo + size, nmasks), memo, args.p_max, args.m_max, args.json)
             for lo in range(0, nmasks, size)
         )
         outcomes = _map_tasks(_verify_mask_range, ranges, args.jobs)

@@ -26,8 +26,6 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention C(n, k) = 0 for k > n."""
     if n < 0 or k < 0:
         raise ValueError("binomial expects non-negative arguments")
-    if k > n:
-        return 0
     return math.comb(n, k)
 
 

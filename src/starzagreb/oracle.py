@@ -10,12 +10,14 @@ evaluated both ways and recorded as erratum notes instead of failures.
 The identities that read a graph only through its frequency sequence
 compute their ground truth once: one table of direct Z_p values and one
 row of each moment side, shared by every check and note.  sweep_reports
-yields the same reports for a range of labeled graphs, evaluating those
-identities once per distinct degree profile.  The edge sum and the
+yields the same reports for every labeled graph on n vertices, evaluating
+those identities once per distinct degree profile.  The edge sum and the
 brute-force star counts still run on every graph; together with the
-profile they fix every theorem, so one memo per sweep, keyed on the
-profile and those two values, hands the graphs of a passing profile one
-theorems tuple, with each result's pass status computed once.
+profile they fix every theorem.  So before the first mask, a
+Havel-Hakimi realization of each degree profile fills one memo, keyed on
+the profile and those two values, which hands the graphs of a passing
+profile one theorems tuple, with each result's pass status computed once.
+Worker processes are sent the memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows
@@ -127,8 +129,7 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """Yield every labeled simple graph on n vertices exactly once.
 
     Edge subsets appear as increasing bitmasks over the C(n, 2) vertex
-    pairs in lexicographic order, so the stream order is a fixed contract
-    and the enumeration can be partitioned across workers by mask range.
+    pairs in lexicographic order, so the stream order is a fixed contract.
     """
     pairs = _vertex_pairs(n)
     for mask in range(1 << len(pairs)):
@@ -421,33 +422,62 @@ def verify_all_identities(
     return TheoremReport(graph_id or to_graph6(g), g.n, g.m, p_max, m_max, theorems, errata)
 
 
-def sweep_reports(
-    n: int, start: int = 0, stop: int | None = None, *, p_max: int = 8, m_max: int = 4
-) -> Iterator[TheoremReport]:
-    """Reports for the labeled graphs with masks start..stop-1, in mask order.
+def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
+    """A graph in which vertex i has degree degrees[i], or None if none has.
 
-    Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
-    p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
-    graph only through its degree profile (its sorted degrees, which carry
-    the same information as f) run once per distinct profile in the range;
-    the edge sum and the brute-force star counts run on every graph.  One
-    memo, keyed on the profile and those two values, maps each key to its
-    theorems and errata, so the graphs of a passing profile share one
-    theorems tuple; a per-graph failure is a key of its own.  The memo
-    lives only as long as the generator.
+    Havel-Hakimi: the vertex of largest remaining degree d is joined to the
+    d others of largest remaining degree, until every degree is used up.
+    """
+    left = list(degrees)
+    edges = []
+    for _ in range(n):
+        v = max(range(n), key=left.__getitem__)
+        d, left[v] = left[v], 0
+        others = sorted((u for u in range(n) if left[u]), key=left.__getitem__, reverse=True)
+        if len(others) < d:
+            return None
+        for u in others[:d]:
+            left[u] -= 1
+            edges.append((min(u, v), max(u, v)))
+    return Graph(n, frozenset(edges))
+
+
+def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple, tuple]:
+    """A sweep memo holding every degree profile on n vertices.
+
+    Each non-increasing degree sequence that Havel-Hakimi realizes is one
+    profile; its realization is evaluated once, under the key (sorted
+    degrees, edge sum, brute-force star counts).  Equal results are kept
+    once, so the graphs of every passing profile share one theorems tuple.
     """
     _check_limits(p_max, m_max)
-    pairs = _vertex_pairs(n)
-    nmasks = 1 << len(pairs)
-    if stop is None:
-        stop = nmasks
-    if not 0 <= start <= stop <= nmasks:
-        raise ValueError(f"mask range [{start}, {stop}) out of range for n = {n}")
+    _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
     # (sorted degrees, edge sum, brute-force star counts) -> (theorems, errata)
     memo: dict[tuple, tuple] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
+    for degrees in combinations_with_replacement(range(n - 1, -1, -1), n):
+        g = _realize(n, degrees)
+        if g is not None:
+            edge_sum = inverse_degree_edge_sum(g)
+            counts = star_counts_bruteforce(g)
+            theorems, errata = _profile_part(g, edge_sum, counts, p_max, m_max)
+            theorems = tuple(results.setdefault(r, r) for r in theorems)
+            memo[(degrees[::-1], edge_sum, counts)] = (theorems, errata)
+    return memo
+
+
+def _sweep_masks(
+    n: int, start: int, stop: int, memo: dict[tuple, tuple], p_max: int, m_max: int
+) -> Iterator[TheoremReport]:
+    """Reports for the labeled graphs with masks start..stop-1, in mask order.
+
+    memo comes from _profile_memo.  A graph whose edge sum or star counts
+    disagree with its profile's misses it, so its own _profile_part is
+    evaluated and added to memo.
+    """
+    pairs = _vertex_pairs(n)
     for mask in range(start, stop):
         g = _graph_from_mask(n, pairs, mask)
         edge_sum = inverse_degree_edge_sum(g)
@@ -455,7 +485,21 @@ def sweep_reports(
         key = (tuple(sorted(g.vertex_degrees)), edge_sum, counts)
         entry = memo.get(key)
         if entry is None:
-            theorems, errata = _profile_part(g, edge_sum, counts, p_max, m_max)
-            theorems = tuple(results.setdefault(r, r) for r in theorems)
-            entry = memo[key] = (theorems, errata)
+            entry = memo[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
         yield TheoremReport(f"n={n}:mask={mask}", n, g.m, p_max, m_max, *entry)
+
+
+def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[TheoremReport]:
+    """Reports for every labeled graph on n vertices, in mask order.
+
+    Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
+    p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
+    graph only through its degree profile (its sorted degrees, which carry
+    the same information as f) run once per profile, before the first mask;
+    the edge sum and the brute-force star counts run on every graph.  The
+    graphs of a passing profile share one theorems tuple; a per-graph
+    failure is evaluated on its own.  itertools.islice reads part of a
+    sweep; the masks it skips are still swept.
+    """
+    memo = _profile_memo(n, p_max, m_max)
+    yield from _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max)

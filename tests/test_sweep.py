@@ -107,9 +107,8 @@ def test_sweep_shares_per_graph_results_across_profiles():
         assert all(r.theorems[i] is reports[0].theorems[i] for r in reports), name
 
 
-def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
-    # The memo key holds nothing graph-specific beyond the two per-graph
-    # values, so a passing sweep evaluates each degree profile once.
+def record_profile_parts(monkeypatch) -> list[tuple[int, ...]]:
+    """The sorted degrees of each graph _profile_part is called on, from now on."""
     calls = []
     real = oracle._profile_part
 
@@ -118,17 +117,45 @@ def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
         return real(g, *args)
 
     monkeypatch.setattr(oracle, "_profile_part", counting)
+    return calls
+
+
+def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
+    # The memo key holds nothing graph-specific beyond the two per-graph
+    # values, so a passing sweep evaluates each degree profile once.
+    calls = record_profile_parts(monkeypatch)
     assert all(r.passed for r in sweep_reports(5))
     assert len(calls) == len(set(calls)) == 31
 
 
+def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
+    # One key per graphical degree sequence (OEIS A004251), each the key of
+    # some labeled graph, so a sweep of a correct library never misses.
+    for n, profiles in zip(range(1, 8), (1, 2, 4, 11, 31, 102, 342)):
+        assert len(oracle._profile_memo(n, 1, 0)) == profiles
+    for n in range(1, 6):
+        keys = {
+            (
+                tuple(sorted(g.vertex_degrees)),
+                oracle.inverse_degree_edge_sum(g),
+                oracle.star_counts_bruteforce(g),
+            )
+            for g in oracle.all_labeled_graphs(n)
+        }
+        assert set(oracle._profile_memo(n, 1, 0)) == keys
+    assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
+    assert oracle._realize(4, (3, 3, 1, 1)) is None
+    assert oracle._realize(3, (1, 1, 1)) is None
+
+
 def test_sweep_subrange_and_validation():
-    assert list(sweep_reports(4, 10, 20)) == per_graph_reports(4)[10:20]
-    assert list(sweep_reports(3, 5, 5)) == []
+    # A public sweep covers every mask; a pool task sweeps a mask range.
+    with pytest.raises(TypeError):
+        sweep_reports(4, 10, 20)
+    memo = oracle._profile_memo(4, 8, 4)
+    assert list(oracle._sweep_masks(4, 10, 20, memo, 8, 4)) == per_graph_reports(4)[10:20]
+    assert list(oracle._sweep_masks(3, 5, 5, oracle._profile_memo(3, 8, 4), 8, 4)) == []
     for args, kwargs in (
-        ((4, 0, 65), {}),
-        ((4, -1, 3), {}),
-        ((4, 5, 4), {}),
         ((0,), {}),
         ((oracle.MAX_ENUM_N + 1,), {}),
         ((3,), {"p_max": 0}),
@@ -383,6 +410,21 @@ def test_jobs_clamped_to_cores_and_tasks(capsys, monkeypatch, cpus, argv, expect
     assert main(argv) == rc == 0
     assert capsys.readouterr().out == baseline
     assert RecordingPool.sizes == expected
+
+
+def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatch):
+    # The memo of every profile is filled before the first task and sent
+    # with each mask range, so the pool's eight ranges at n = 5 evaluate
+    # none of the 31 degree profiles again.
+    RecordingPool.sizes = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    calls = record_profile_parts(monkeypatch)
+    rc, out = sweep_stdout(capsys, 5, "--jobs", "2")
+    assert rc == 0
+    assert "summary: graphs=1024 " in out
+    assert len(calls) == len(set(calls)) == 31
+    assert RecordingPool.sizes == [2]
 
 
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
