@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -74,7 +75,30 @@ def info_record(identifier: str, g: Graph) -> dict:
     }
 
 
+# Z_p is printed in decimal, which CPython before 3.12 renders in time
+# quadratic in the digit count: about 2 s for 300,000 digits on 3.11.
+MAX_ZAGREB_DIGITS = 300_000
+
+
+def _zagreb_digits(g: Graph, p: int) -> float:
+    """About how many decimal digits Z_p has: p*log10(D) + log10(n), the
+    logarithm of its bound n*D^p, where D is the maximum degree.
+
+    p is clamped so that the product stays a float; any p past the clamp
+    gives more than MAX_ZAGREB_DIGITS digits either way when D >= 2.
+    """
+    delta = max(g.vertex_degrees)
+    return min(p, 10 * MAX_ZAGREB_DIGITS) * math.log10(max(delta, 1)) + math.log10(g.n)
+
+
 def zagreb_record(identifier: str, g: Graph, p: int, method: str) -> dict:
+    """Z_p by the chosen routes.  Raises ValueError, before any power is
+    formed, when Z_p would have more than MAX_ZAGREB_DIGITS digits."""
+    if _zagreb_digits(g, p) > MAX_ZAGREB_DIGITS:
+        raise ValueError(
+            f"Z_p would have more than {MAX_ZAGREB_DIGITS:,} decimal digits, "
+            "the cap for zagreb; its digits are about p*log10(max degree) + log10(n)"
+        )
     values: dict[str, str] = {}
     if method in ("direct", "all"):
         values["direct"] = str(zagreb_direct(g, p))
@@ -227,16 +251,25 @@ def render_report_full(report: TheoremReport) -> str:
 
 
 def render_report_line(report: TheoremReport) -> str:
+    return _report_line(report.graph_id, report.n, report.m, _report_verdict(report))
+
+
+def _report_verdict(report: TheoremReport) -> tuple[str, str]:
+    """The status word that opens a report's compact line, and the text
+    after its m=: the check count, the triggered errata and a line per
+    failed check.  Both read only the report's theorems and errata."""
     status = "PASS" if report.passed else "FAIL"
     errata = ",".join(_triggered_ids(report)) or "-"
-    lines = [
-        f"{status} {report.graph_id} n={report.n} m={report.m} "
-        f"checks={report.check_count} errata={errata}"
-    ]
+    lines = [f"checks={report.check_count} errata={errata}"]
     if not report.passed:
         for name, check in report.failures():
             lines.append(f"  FAIL {name}/{check.label} residual={check.residual!s}")
-    return "\n".join(lines)
+    return status, "\n".join(lines)
+
+
+def _report_line(graph_id: str, n: int, m: int, verdict: tuple[str, str]) -> str:
+    status, text = verdict
+    return f"{status} {graph_id} n={n} m={m} {text}"
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +319,9 @@ def _usage_error(message: str) -> int:
 # ---------------------------------------------------------------------------
 # output
 
-# What the output loop takes from each graph, rendered where the graph was
-# processed: ("report", stdout text, checks, passed, errata observed) or
-# ("error", identifier, message).
+# What the output loop takes from one graph or a run of graphs, rendered
+# where they were processed: ("report", stdout text, graphs, checks,
+# failures, errata observed) or ("error", identifier, message).
 _Outcome = tuple
 
 
@@ -309,11 +342,11 @@ def _print_outcomes(outcomes: Iterable[_Outcome], as_json: bool, summary=None) -
                 print(json.dumps(error_record(ident, message)))
             print(f"error: {ident}: {message}", file=sys.stderr)
             continue
-        text, graph_checks, passed, graph_errata = data
-        graphs += 1
-        checks += graph_checks
-        failures += not passed
-        errata_hits += graph_errata
+        text, run_graphs, run_checks, run_failures, run_errata = data
+        graphs += run_graphs
+        checks += run_checks
+        failures += run_failures
+        errata_hits += run_errata
         print(text)
     if summary:
         summary(as_json, graphs, checks, failures, errata_hits, had_error)
@@ -326,16 +359,21 @@ def _print_outcomes(outcomes: Iterable[_Outcome], as_json: bool, summary=None) -
 def _record_outcomes(args: argparse.Namespace, record, render) -> Iterator[_Outcome]:
     """Outcomes for info, zagreb and genfunc: each graph's record as JSON,
     or rendered as text, plus a blank line in a graph6 batch.  A record
-    fails only when zagreb's routes disagree."""
+    fails only when zagreb's routes disagree; a ValueError from record
+    refuses that graph."""
     fmt = _resolve_format(args)
     end = "\n" if fmt == "graph6" else ""
     for ident, g in _iter_inputs(args.input, fmt):
         if isinstance(g, GraphFormatError):
             yield ("error", ident, str(g))
             continue
-        rec = record(ident, g)
+        try:
+            rec = record(ident, g)
+        except ValueError as exc:
+            yield ("error", ident, str(exc))
+            continue
         text = json.dumps(rec) if args.json else render(rec) + end
-        yield ("report", text, 0, rec.get("agree", True), 0)
+        yield ("report", text, 1, 0, not rec.get("agree", True), 0)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -368,13 +406,45 @@ def _report_outcome(report: TheoremReport, as_json: bool, compact: bool) -> _Out
         text = render_report_line(report)
     else:
         text = render_report_full(report) + "\n"
-    return ("report", text, report.check_count, report.passed, len(_triggered_ids(report)))
+    return ("report", text, 1, *_report_tallies(report))
+
+
+def _report_tallies(report: TheoremReport) -> tuple[int, bool, int]:
+    """A report's checks, whether it failed, and its triggered errata."""
+    return report.check_count, not report.passed, len(_triggered_ids(report))
 
 
 def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[_Outcome]:
+    """Outcomes for the masks start..stop-1, one per SWEEP_BLOCK masks:
+    their lines joined and their tallies summed.
+
+    The reports of one memo entry differ only in identifier and m, so each
+    entry's verdict and tallies are worked out once, on its first report,
+    and kept for the rest of the range."""
     n, start, stop, memo, p_max, m_max, as_json = task
-    for report in _sweep_masks(n, start, stop, memo, p_max, m_max):
-        yield _report_outcome(report, as_json, True)
+    # id(memo entry) -> (verdict, checks, failed, errata); memo keeps every
+    # entry alive, so no id is reused within the range.
+    seen: dict[int, tuple] = {}
+    masks = _sweep_masks(n, start, stop, memo, p_max, m_max)
+    for block in iter(lambda: list(islice(masks, SWEEP_BLOCK)), []):
+        lines = []
+        checks = failures = errata_hits = 0
+        for mask, entry in block:
+            graph_id, m = f"n={n}:mask={mask}", mask.bit_count()
+            known = seen.get(id(entry))
+            if known is None or as_json:
+                report = TheoremReport(graph_id, n, m, p_max, m_max, *entry)
+            if known is None:
+                known = seen[id(entry)] = (_report_verdict(report), *_report_tallies(report))
+            verdict, entry_checks, failed, entry_errata = known
+            if as_json:
+                lines.append(json.dumps(report_to_dict(report)))
+            else:
+                lines.append(_report_line(graph_id, n, m, verdict))
+            checks += entry_checks
+            failures += failed
+            errata_hits += entry_errata
+        yield ("report", "\n".join(lines), len(block), checks, failures, errata_hits)
 
 
 def _verify_chunk(task: tuple[list, int, int, bool, bool]) -> Iterator[_Outcome]:
@@ -441,6 +511,11 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
 # sent the memo of all degree profiles, evaluated once here, so a range
 # repeats no profile work.
 SWEEP_RANGE = 1 << 12
+# Most graphs one sweep outcome carries.  Printing or pickling one joined
+# block costs little per graph, while a block of --json lines, about
+# 2.5 KB each at n = 6, stays small: a whole 4,096-mask range per outcome
+# took the --json sweep at n = 6 from 17 MB peak RSS to 57 MB.
+SWEEP_BLOCK = 256
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

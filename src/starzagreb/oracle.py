@@ -17,7 +17,10 @@ profile they fix every theorem.  So before the first mask, a
 Havel-Hakimi realization of each degree profile fills one memo, keyed on
 the profile and those two values, which hands the graphs of a passing
 profile one theorems tuple, with each result's pass status computed once.
-Worker processes are sent the memo, each sweeping a range of masks.
+Per graph, the sweep keeps the neighbour bitmasks, degrees and edges up to
+date from one mask to the next and runs the two per-graph checks' cores on
+them; a Graph is built only for a mask whose key misses the memo.  Worker
+processes are sent the memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .combinatorics import falling_factorial_coeffs, stirling1_rows
 from .graph import FrequencySequence, Graph, to_graph6
 from .star import (
     StarSequence,
+    _inverse_degree_edge_sum,
     alternating_moment,
     frequency_from_star,
     inverse_degree_edge_sum,
@@ -75,24 +79,35 @@ MAX_BRUTEFORCE_N = 20
 def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
     """(S_1, ..., S_{n-1}) counted by enumerating every star of g.
 
-    A K_{1,k} is a center plus k of its neighbours, so each vertex's
-    non-empty neighbour subsets are walked once and bucketed by size.  No
-    binomial coefficients and no degree tallies are involved: the
-    neighbourhoods come from the edges alone.  For k = 1 the two center
-    choices of an edge describe the same subgraph, so that count is halved.
+    No binomial coefficients and no degree tallies are involved: each
+    vertex's neighbourhood is read off the edges as a bitmask, and
+    _star_counts_bruteforce walks its subsets.
     """
     nbrs = [0] * g.n
     for u, v in g.edges:
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
-    counts = [0] * (g.n + 1)
+    return _star_counts_bruteforce(nbrs)
+
+
+def _star_counts_bruteforce(nbrs: Sequence[int]) -> tuple[int, ...]:
+    """(S_1, ..., S_{n-1}) of the n-vertex graph in which bit v of nbrs[u]
+    is set when u and v are adjacent.
+
+    A K_{1,k} is a center plus k of its neighbours, so each vertex's
+    non-empty neighbour subsets are walked once and bucketed by size.  For
+    k = 1 the two center choices of an edge describe the same subgraph, so
+    that count is halved.
+    """
+    n = len(nbrs)
+    counts = [0] * (n + 1)
     for mask in nbrs:
         sub = mask
         while sub:
             counts[sub.bit_count()] += 1
             sub = (sub - 1) & mask
     counts[1] //= 2
-    return tuple(counts[1:g.n])
+    return tuple(counts[1:n])
 
 
 def count_stars_bruteforce(g: Graph, k: int) -> int:
@@ -468,25 +483,65 @@ def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple, tuple]:
     return memo
 
 
+def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
+    """(mask, memo key) for the labeled graphs with masks start..stop-1.
+
+    The key is (sorted degrees, edge sum, brute-force star counts), the
+    two per-graph values coming from the cores of inverse_degree_edge_sum
+    and star_counts_bruteforce.  No Graph is built: the neighbour bitmasks,
+    the degrees and the edges, in bit order, are kept up to date from one
+    mask to the next.  mask + 1 clears the trailing run of set bits of
+    mask and sets the bit above it, so about two pairs toggle per step.
+    """
+    pairs = _vertex_pairs(n)
+    edges = [pair for i, pair in enumerate(pairs) if start >> i & 1]
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    degrees = [nbr.bit_count() for nbr in nbrs]
+    for mask in range(start, stop):
+        if mask > start:
+            # mask - 1 ends in t set bits, its first t edges: clear them,
+            # then set bit t.
+            t = (mask & -mask).bit_length() - 1
+            for u, v in edges[:t]:
+                nbrs[u] ^= 1 << v
+                nbrs[v] ^= 1 << u
+                degrees[u] -= 1
+                degrees[v] -= 1
+            u, v = pairs[t]
+            nbrs[u] ^= 1 << v
+            nbrs[v] ^= 1 << u
+            degrees[u] += 1
+            degrees[v] += 1
+            edges[:t] = (pairs[t],)
+        yield mask, (
+            tuple(sorted(degrees)),
+            _inverse_degree_edge_sum(degrees, edges),
+            _star_counts_bruteforce(nbrs),
+        )
+
+
 def _sweep_masks(
     n: int, start: int, stop: int, memo: dict[tuple, tuple], p_max: int, m_max: int
-) -> Iterator[TheoremReport]:
-    """Reports for the labeled graphs with masks start..stop-1, in mask order.
+) -> Iterator[tuple[int, tuple]]:
+    """(mask, memo entry) for the labeled graphs with masks start..stop-1,
+    in mask order; the entry is the (theorems, errata) of the mask's report.
 
-    memo comes from _profile_memo.  A graph whose edge sum or star counts
-    disagree with its profile's misses it, so its own _profile_part is
+    memo comes from _profile_memo, and a mask's key from _mask_keys.  Only
+    a graph whose edge sum or star counts disagree with its profile's
+    misses the memo; that graph is built, and its own _profile_part is
     evaluated and added to memo.
     """
     pairs = _vertex_pairs(n)
-    for mask in range(start, stop):
-        g = _graph_from_mask(n, pairs, mask)
-        edge_sum = inverse_degree_edge_sum(g)
-        counts = star_counts_bruteforce(g)
-        key = (tuple(sorted(g.vertex_degrees)), edge_sum, counts)
+    for mask, key in _mask_keys(n, start, stop):
         entry = memo.get(key)
         if entry is None:
+            _, edge_sum, counts = key
+            g = _graph_from_mask(n, pairs, mask)
             entry = memo[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
-        yield TheoremReport(f"n={n}:mask={mask}", n, g.m, p_max, m_max, *entry)
+        yield mask, entry
 
 
 def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[TheoremReport]:
@@ -495,11 +550,14 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
-    the same information as f) run once per profile, before the first mask;
-    the edge sum and the brute-force star counts run on every graph.  The
-    graphs of a passing profile share one theorems tuple; a per-graph
-    failure is evaluated on its own.  itertools.islice reads part of a
-    sweep; the masks it skips are still swept.
+    the same information as f) run once per profile, before the first mask.
+    Per graph, only the edge sum and the brute-force star counts run, on
+    neighbour bitmasks kept up to date from mask to mask, so no Graph is
+    built for a graph whose values match its profile's.  The graphs of a
+    passing profile share one theorems tuple; a per-graph failure is
+    evaluated on its own.  itertools.islice reads part of a sweep; the
+    masks it skips are still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
-    yield from _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max)
+    for mask, entry in _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max):
+        yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from .combinatorics import binomial, surjection_row
 from .graph import FrequencySequence, Graph
@@ -204,9 +205,16 @@ def inverse_degree_edge_sum(g: Graph) -> Fraction:
     1/deg(v), one per incident edge.  The terms are summed edge by edge as
     integers over L, the lcm of the nonzero degrees, and divided once.
     """
-    degs = g.vertex_degrees
-    lcm = math.lcm(*(d for d in degs if d))
-    return Fraction(sum(lcm // degs[u] + lcm // degs[v] for u, v in g.edges), lcm)
+    return _inverse_degree_edge_sum(g.vertex_degrees, g.edges)
+
+
+def _inverse_degree_edge_sum(
+    degrees: Sequence[int], edges: Iterable[tuple[int, int]]
+) -> Fraction:
+    """inverse_degree_edge_sum of the graph with these vertex degrees and
+    edges, for callers that keep both without building a Graph."""
+    lcm = math.lcm(*filter(None, degrees))
+    return Fraction(sum([lcm // degrees[u] + lcm // degrees[v] for u, v in edges]), lcm)
 
 
 def isolated_count_from_star(s: StarSequence) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import sys
 
@@ -209,6 +210,47 @@ def test_zagreb_star_route_refused_at_p0(tmp_path, capsys):
     )
     assert rc == 2
     assert "star route" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["direct", "star", "recurrence", "all"])
+def test_zagreb_refuses_answers_past_the_digit_cap(tmp_path, capsys, monkeypatch, method):
+    # Z_p of P_3 is 2 + 2^p: 301,030 digits at p = 10^6, just past the cap.
+    # The refusal comes before any route runs, so every route raises here.
+    def unreachable(*args):
+        raise AssertionError("a route ran past the digit cap")
+
+    for route in ("zagreb_direct", "zagreb_from_stars", "zagreb_by_recurrence"):
+        monkeypatch.setattr(cli, route, unreachable)
+    src = write(tmp_path, "p3.txt", "3\n0 1\n1 2\n")
+    for p in ("1000000", "1" + "0" * 400):
+        rc = main(["zagreb", src, "--p", p, "--method", method, "--json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (record,) = json_lines(captured.out)
+        assert record["type"] == "error"
+        assert "300,000 decimal digits" in record["error"]
+        assert captured.err == f"error: {src}: {record['error']}\n"
+
+
+def test_zagreb_digit_cap_refuses_only_that_graph(tmp_path, capsys):
+    # In a batch, P_3 is refused while K_1, whose Z_p has one digit, is answered.
+    src = write(tmp_path, "p3-k1.g6", "Bw\n@\n")
+    rc = main(["zagreb", src, "--p", "1000000", "--method", "direct", "--json"])
+    records = json_lines(capsys.readouterr().out)
+    assert rc == 2
+    assert [r["type"] for r in records] == ["error", "zagreb"]
+    assert records[1]["values"] == {"direct": "0"}
+
+
+@pytest.mark.parametrize("graph", ["Bw", "A_", "@", "E{Sw", "K~~~~~~~~~~~"])
+@pytest.mark.parametrize("p", [0, 1, 2, 7, 100, 1000])
+def test_zagreb_digit_estimate_bounds_the_answer(graph, p):
+    # Z_p lies between D^p and n*D^p, so the estimate log10(n*D^p) is at
+    # least the answer's digits less one and within log10(n) of them.
+    g = cli.parse_graph6(graph)
+    digits = len(str(cli.zagreb_direct(g, p)))
+    estimate = cli._zagreb_digits(g, p)
+    assert digits - 1 <= estimate < digits + math.log10(g.n)
 
 
 def test_zagreb_route_disagreement_exits_1(tmp_path, capsys, monkeypatch):

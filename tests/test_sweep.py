@@ -10,17 +10,26 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
 from starzagreb.cli import main, render_report_line, report_to_dict
 from starzagreb.graph import FrequencySequence, Graph, frequency_sequence, to_graph6
-from starzagreb.oracle import labeled_graph_from_mask, sweep_reports, verify_all_identities
-from starzagreb.star import StarSequence, frequency_from_star
+from starzagreb.oracle import (
+    TheoremReport,
+    labeled_graph_from_mask,
+    star_counts_bruteforce,
+    sweep_reports,
+    verify_all_identities,
+)
+from starzagreb.star import StarSequence, frequency_from_star, inverse_degree_edge_sum
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -40,6 +49,14 @@ def per_graph_reports(n: int) -> list:
     return [
         verify_all_identities(labeled_graph_from_mask(n, mask), graph_id=f"n={n}:mask={mask}")
         for mask in range(1 << (n * (n - 1) // 2))
+    ]
+
+
+def range_reports(n: int, start: int, stop: int, memo: dict) -> list[TheoremReport]:
+    """The reports of a pool task's mask range, swept against memo."""
+    return [
+        TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), 8, 4, *entry)
+        for mask, entry in oracle._sweep_masks(n, start, stop, memo, 8, 4)
     ]
 
 
@@ -153,8 +170,8 @@ def test_sweep_subrange_and_validation():
     with pytest.raises(TypeError):
         sweep_reports(4, 10, 20)
     memo = oracle._profile_memo(4, 8, 4)
-    assert list(oracle._sweep_masks(4, 10, 20, memo, 8, 4)) == per_graph_reports(4)[10:20]
-    assert list(oracle._sweep_masks(3, 5, 5, oracle._profile_memo(3, 8, 4), 8, 4)) == []
+    assert range_reports(4, 10, 20, memo) == per_graph_reports(4)[10:20]
+    assert range_reports(3, 5, 5, oracle._profile_memo(3, 8, 4)) == []
     for args, kwargs in (
         ((0,), {}),
         ((oracle.MAX_ENUM_N + 1,), {}),
@@ -163,6 +180,62 @@ def test_sweep_subrange_and_validation():
     ):
         with pytest.raises(ValueError):
             next(sweep_reports(*args, **kwargs))
+
+
+def slow_key(n: int, mask: int) -> tuple:
+    """A mask's memo key, from its Graph through the public per-graph checks."""
+    g = labeled_graph_from_mask(n, mask)
+    return tuple(sorted(g.vertex_degrees)), inverse_degree_edge_sum(g), star_counts_bruteforce(g)
+
+
+def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
+    # The bitmasks kept up to date from mask to mask against a Graph per mask.
+    keys = list(oracle._mask_keys(6, 0, 1 << 15))
+    assert [mask for mask, _ in keys] == list(range(1 << 15))
+    for mask, key in keys:
+        assert key == slow_key(6, mask), mask
+
+
+@cache
+def memo7() -> dict:
+    # Built once for every example; hypothesis would print it as an argument.
+    return oracle._profile_memo(7, 8, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=st.integers(0, (1 << 21) - 1), length=st.integers(0, 32))
+@example(start=0, length=32)
+@example(start=(1 << 21) - 24, length=32)
+@example(start=(1 << 20) - 1, length=3)
+def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
+    # A pool task's range starts its bitmasks from any mask, not only 0.
+    stop = min(start + length, 1 << 21)
+    assert [key for _, key in oracle._mask_keys(7, start, stop)] == [
+        slow_key(7, mask) for mask in range(start, stop)
+    ]
+    assert range_reports(7, start, stop, memo7()) == [
+        verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
+        for mask in range(start, stop)
+    ]
+
+
+def test_passing_sweep_builds_no_graph(monkeypatch):
+    # Every n = 5 key hits the memo, so no mask needs a Graph of its own.
+    memo = oracle._profile_memo(5, 8, 4)
+    built = []
+    real = Graph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    entries = list(oracle._sweep_masks(5, 0, 1 << 10, memo, 8, 4))
+    assert len(entries) == 1024
+    assert all(r.passed for _, (theorems, _) in entries for r in theorems)
+    assert built == []
+    labeled_graph_from_mask(5, 3)
+    assert len(built) == 1
 
 
 def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
@@ -305,10 +378,26 @@ def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
             assert bad == theorems
 
 
+# Each per-graph check, named after its public function, and a way to put
+# its value off by one.  The sweep calls the check's core directly, so the
+# fault goes into the core, under the same name with a leading underscore.
 PER_GRAPH_FAULTS = [
     ("star_counts_bruteforce", "star_bruteforce", "k=1", lambda c: (c[0] + 1, *c[1:])),
     ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + 1),
 ]
+
+
+def edges_from_neighbour_masks(nbrs) -> frozenset[tuple[int, int]]:
+    return frozenset(
+        (u, v) for u, mask in enumerate(nbrs) for v in range(u + 1, len(nbrs)) if mask >> v & 1
+    )
+
+
+# The edge set each core is called on, read off its arguments.
+CORE_EDGES = {
+    "star_counts_bruteforce": edges_from_neighbour_masks,
+    "inverse_degree_edge_sum": lambda degrees, edges: frozenset(edges),
+}
 
 
 # Masks 11 and 56 are the first and the last of the four labeled graphs
@@ -331,12 +420,14 @@ def test_per_graph_fault_fails_exactly_that_graph(
     profile = masks_with_profile(4, frequency_sequence(target).counts)
     assert len(profile) == 4
     assert mask in (min(profile), max(profile))
-    real = getattr(oracle, name)
+    core = f"_{name}"
+    real = getattr(oracle, core)
 
-    def faulty(g):
-        return bump(real(g)) if g == target else real(g)
+    def faulty(*args):
+        result = real(*args)
+        return bump(result) if CORE_EDGES[name](*args) == target.edges else result
 
-    monkeypatch.setattr(oracle, name, faulty)
+    monkeypatch.setattr(oracle, core, faulty)
     rc, out = sweep_stdout(capsys, 4)
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert rc == 1
