@@ -80,24 +80,37 @@ def info_record(identifier: str, g: Graph) -> dict:
 MAX_ZAGREB_DIGITS = 300_000
 
 
-def _zagreb_digits(g: Graph, p: int) -> float:
+def _zagreb_digits(g: Graph, p: int, method: str = "direct") -> float:
     """About how many decimal digits Z_p has: p*log10(D) + log10(n), the
     logarithm of its bound n*D^p, where D is the maximum degree.
 
-    p is clamped so that the product stays a float; any p past the clamp
-    gives more than MAX_ZAGREB_DIGITS digits either way when D >= 2.
+    The recurrence route runs p steps however small Z_p is, so for
+    --method recurrence and all D counts as at least 2: p is then bounded
+    as if Z_p had p*log10(2) digits.  p is clamped so that the product
+    stays a float; any p past the clamp gives more than MAX_ZAGREB_DIGITS
+    digits either way when D >= 2.
     """
     delta = max(g.vertex_degrees)
+    if method in ("recurrence", "all"):
+        delta = max(delta, 2)
     return min(p, 10 * MAX_ZAGREB_DIGITS) * math.log10(max(delta, 1)) + math.log10(g.n)
 
 
 def zagreb_record(identifier: str, g: Graph, p: int, method: str) -> dict:
     """Z_p by the chosen routes.  Raises ValueError, before any power is
-    formed, when Z_p would have more than MAX_ZAGREB_DIGITS digits."""
+    formed or any recurrence step is taken, when Z_p would have more than
+    MAX_ZAGREB_DIGITS digits, or when the recurrence route would run more
+    steps than an answer of that many digits allows."""
     if _zagreb_digits(g, p) > MAX_ZAGREB_DIGITS:
         raise ValueError(
             f"Z_p would have more than {MAX_ZAGREB_DIGITS:,} decimal digits, "
             "the cap for zagreb; its digits are about p*log10(max degree) + log10(n)"
+        )
+    if _zagreb_digits(g, p, method) > MAX_ZAGREB_DIGITS:
+        raise ValueError(
+            "the recurrence route runs p steps, so it takes the max degree as at "
+            f"least 2: p*log10(2) + log10(n) must not exceed {MAX_ZAGREB_DIGITS:,}; "
+            "--method direct and star have no such bound"
         )
     values: dict[str, str] = {}
     if method in ("direct", "all"):
@@ -419,11 +432,14 @@ def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iter
     their lines joined and their tallies summed.
 
     The reports of one memo entry differ only in identifier and m, so each
-    entry's verdict and tallies are worked out once, on its first report,
-    and kept for the rest of the range."""
+    entry's rendering after m, text or JSON, and its tallies are worked
+    out once, on its first report, and kept for the rest of the range."""
     n, start, stop, memo, p_max, m_max, as_json = task
-    # id(memo entry) -> (verdict, checks, failed, errata); memo keeps every
-    # entry alive, so no id is reused within the range.
+    render, line = (
+        (_report_json_tail, _report_json_line) if as_json else (_report_verdict, _report_line)
+    )
+    # id(memo entry) -> (rendering after m, checks, failed, errata); memo
+    # keeps every entry alive, so no id is reused within the range.
     seen: dict[int, tuple] = {}
     masks = _sweep_masks(n, start, stop, memo, p_max, m_max)
     for block in iter(lambda: list(islice(masks, SWEEP_BLOCK)), []):
@@ -432,19 +448,31 @@ def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iter
         for mask, entry in block:
             graph_id, m = f"n={n}:mask={mask}", mask.bit_count()
             known = seen.get(id(entry))
-            if known is None or as_json:
-                report = TheoremReport(graph_id, n, m, p_max, m_max, *entry)
             if known is None:
-                known = seen[id(entry)] = (_report_verdict(report), *_report_tallies(report))
-            verdict, entry_checks, failed, entry_errata = known
-            if as_json:
-                lines.append(json.dumps(report_to_dict(report)))
-            else:
-                lines.append(_report_line(graph_id, n, m, verdict))
+                report = TheoremReport(graph_id, n, m, p_max, m_max, *entry)
+                known = seen[id(entry)] = (render(report), *_report_tallies(report))
+            tail, entry_checks, failed, entry_errata = known
+            lines.append(line(graph_id, n, m, tail))
             checks += entry_checks
             failures += failed
             errata_hits += entry_errata
         yield ("report", "\n".join(lines), len(block), checks, failures, errata_hits)
+
+
+def _report_json_tail(report: TheoremReport) -> str:
+    """json.dumps(report_to_dict(report)) after its m field: every field
+    from p_max on, which reads only the report's theorems and errata."""
+    rec = report_to_dict(report)
+    for key in ("type", "identifier", "n", "m"):
+        del rec[key]
+    return json.dumps(rec)[1:]
+
+
+def _report_json_line(graph_id: str, n: int, m: int, tail: str) -> str:
+    """json.dumps(report_to_dict(report)) for a sweep report with this
+    identifier, n and m, and _report_json_tail's tail; a sweep identifier
+    has no character that JSON escapes."""
+    return f'{{"type": "report", "identifier": "{graph_id}", "n": {n}, "m": {m}, {tail}'
 
 
 def _verify_chunk(task: tuple[list, int, int, bool, bool]) -> Iterator[_Outcome]:

@@ -1,17 +1,18 @@
 """Brute-force ground truth and the all-identities verifier.
 
-Star counts are recounted here by enumeration, in one pass per center over
-the subsets of its neighbourhood.  Labeled graphs are enumerated
-exhaustively, and the generating function is expanded by exact long
-division.  verify_all_identities replays every identity in the library
-against those independent routes; a report that says pass has every
-residual identically zero, and disputed sign or index variants are
-evaluated both ways and recorded as erratum notes instead of failures.
-The identities that read a graph only through its frequency sequence
-compute their ground truth once: one table of direct Z_p values and one
-row of each moment side, shared by every check and note.  sweep_reports
-yields the same reports for every labeled graph on n vertices, evaluating
-those identities once per distinct degree profile.  The edge sum and the
+Star counts are recounted here by enumeration: the subsets of each
+center's neighbourhood are walked once and tallied by size into one
+packed integer.  Labeled graphs are enumerated exhaustively, and the
+generating function is expanded by exact long division.
+verify_all_identities replays every identity in the library against those
+independent routes; a report that says pass has every residual
+identically zero, and disputed sign or index variants are evaluated both
+ways and recorded as erratum notes instead of failures.  The identities
+that read a graph only through its frequency sequence compute their
+ground truth once: one table of direct Z_p values and one row of each
+moment side, shared by every check and note.  sweep_reports yields the
+same reports for every labeled graph on n vertices, evaluating those
+identities once per distinct degree profile.  The edge sum and the
 brute-force star counts still run on every graph; together with the
 profile they fix every theorem.  So before the first mask, a
 Havel-Hakimi realization of each degree profile fills one memo, keyed on
@@ -19,24 +20,28 @@ the profile and those two values, which hands the graphs of a passing
 profile one theorems tuple, with each result's pass status computed once.
 Per graph, the sweep keeps the neighbour bitmasks, degrees and edges up to
 date from one mask to the next and runs the two per-graph checks' cores on
-them; a Graph is built only for a mask whose key misses the memo.  Worker
-processes are sent the memo, each sweeping a range of masks.
+them, as integers: the edge sum over the fixed scale lcm(1..n-1), and the
+star counts as a sum of the neighbour masks' subset histograms, read from
+a table that each mask range fills by walking every possible neighbour
+mask's subsets once.  A Fraction, unpacked counts and a Graph are built
+only for a mask whose key misses the memo.  Worker processes are sent the
+memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows
 from .graph import FrequencySequence, Graph, to_graph6
 from .star import (
     StarSequence,
-    _inverse_degree_edge_sum,
+    _edge_sum_numerator,
     alternating_moment,
     frequency_from_star,
     inverse_degree_edge_sum,
@@ -80,34 +85,63 @@ def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
     """(S_1, ..., S_{n-1}) counted by enumerating every star of g.
 
     No binomial coefficients and no degree tallies are involved: each
-    vertex's neighbourhood is read off the edges as a bitmask, and
-    _star_counts_bruteforce walks its subsets.
+    vertex's neighbourhood is read off the edges as a bitmask, and its
+    subsets are walked once, by _subset_histogram, and tallied by size.
+    No table is built: each center's subsets are walked as it comes.
     """
     nbrs = [0] * g.n
     for u, v in g.edges:
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
-    return _star_counts_bruteforce(nbrs)
+    width = _star_field_width(g.n)
+    packed = _packed_star_counts(nbrs, partial(_subset_histogram, width=width))
+    return _unpack_star_counts(packed, g.n, width)
 
 
-def _star_counts_bruteforce(nbrs: Sequence[int]) -> tuple[int, ...]:
-    """(S_1, ..., S_{n-1}) of the n-vertex graph in which bit v of nbrs[u]
-    is set when u and v are adjacent.
+def _star_field_width(n: int) -> int:
+    """Bits per field of a packed star-count histogram on n vertices.
 
-    A K_{1,k} is a center plus k of its neighbours, so each vertex's
-    non-empty neighbour subsets are walked once and bucketed by size.  For
-    k = 1 the two center choices of an edge describe the same subgraph, so
-    that count is halved.
+    Field k tallies the (center, k neighbours) pairs, at most
+    n * C(n-1, k) <= n * 2^(n-1), so it never carries into field k + 1.
     """
-    n = len(nbrs)
-    counts = [0] * (n + 1)
-    for mask in nbrs:
-        sub = mask
-        while sub:
-            counts[sub.bit_count()] += 1
-            sub = (sub - 1) & mask
-    counts[1] //= 2
-    return tuple(counts[1:n])
+    return (n << (n - 1)).bit_length()
+
+
+def _subset_histogram(mask: int, width: int) -> int:
+    """The non-empty subsets of mask tallied by size, packed: bits
+    k*width up to (k+1)*width hold how many have k elements."""
+    counts = [0] * (mask.bit_count() + 1)
+    sub = mask
+    while sub:
+        counts[sub.bit_count()] += 1
+        sub = (sub - 1) & mask
+    packed = 0
+    for count in reversed(counts):
+        packed = packed << width | count
+    return packed
+
+
+def _packed_star_counts(nbrs: Iterable[int], histogram: Callable[[int], int]) -> int:
+    """The raw star counts of the graph in which bit v of nbrs[u] is set
+    when u and v are adjacent, packed as _subset_histogram packs them.
+
+    A K_{1,k} is a center plus k of its neighbours, so field k sums the
+    k-subsets of every neighbour mask: histogram(mask) is
+    _subset_histogram's value for mask, walked on the spot or read from a
+    table.  Field 1 counts each edge from both ends.
+    """
+    return sum(map(histogram, nbrs))
+
+
+def _unpack_star_counts(packed: int, n: int, width: int) -> tuple[int, ...]:
+    """(S_1, ..., S_{n-1}) from _packed_star_counts's value.  For k = 1 the
+    two center choices of an edge describe the same subgraph, so that
+    count is halved."""
+    field = (1 << width) - 1
+    counts = [packed >> k * width & field for k in range(1, n)]
+    if counts:
+        counts[0] //= 2
+    return tuple(counts)
 
 
 def count_stars_bruteforce(g: Graph, k: int) -> int:
@@ -457,17 +491,49 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
     return Graph(n, frozenset(edges))
 
 
+def _key_layout(n: int) -> tuple[int, int]:
+    """How a sweep memo key on n vertices is packed: the scale
+    L = lcm(1..n-1) of the edge sum, and the bits per star-count field.
+
+    A key is the sorted degrees, the inverse-degree edge sum times L, and
+    the raw star counts as _packed_star_counts gives them, so hashing and
+    comparing it touches no Fraction.
+    """
+    return math.lcm(*range(1, n)), _star_field_width(n)
+
+
+def _encode_key(
+    n: int, degrees: Sequence[int], edge_sum: Fraction, counts: Sequence[int]
+) -> tuple[tuple[int, ...], int, int]:
+    """The memo key of an n-vertex graph with these degrees, edge sum and
+    brute-force star counts (S_1, ..., S_{n-1})."""
+    scale, width = _key_layout(n)
+    raw = [2 * counts[0], *counts[1:]] if counts else []
+    packed = sum(c << width * k for k, c in enumerate(raw, start=1))
+    # Every degree divides scale, so the edge sum times scale is an integer.
+    return tuple(sorted(degrees)), int(edge_sum * scale), packed
+
+
+def _decode_key(n: int, key: tuple[tuple[int, ...], int, int]) -> tuple:
+    """(sorted degrees, edge sum, star counts) of an n-vertex memo key,
+    as _encode_key takes them."""
+    scale, width = _key_layout(n)
+    degrees, scaled, packed = key
+    return degrees, Fraction(scaled, scale), _unpack_star_counts(packed, n, width)
+
+
 def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple, tuple]:
     """A sweep memo holding every degree profile on n vertices.
 
     Each non-increasing degree sequence that Havel-Hakimi realizes is one
-    profile; its realization is evaluated once, under the key (sorted
-    degrees, edge sum, brute-force star counts).  Equal results are kept
-    once, so the graphs of every passing profile share one theorems tuple.
+    profile; its realization is evaluated once, keyed by _encode_key on
+    its degrees, edge sum and brute-force star counts.  Equal results are
+    kept once, so the graphs of every passing profile share one theorems
+    tuple.
     """
     _check_limits(p_max, m_max)
     _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
-    # (sorted degrees, edge sum, brute-force star counts) -> (theorems, errata)
+    # key -> (theorems, errata)
     memo: dict[tuple, tuple] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
@@ -479,21 +545,29 @@ def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple, tuple]:
             counts = star_counts_bruteforce(g)
             theorems, errata = _profile_part(g, edge_sum, counts, p_max, m_max)
             theorems = tuple(results.setdefault(r, r) for r in theorems)
-            memo[(degrees[::-1], edge_sum, counts)] = (theorems, errata)
+            memo[_encode_key(n, degrees, edge_sum, counts)] = (theorems, errata)
     return memo
 
 
 def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
     """(mask, memo key) for the labeled graphs with masks start..stop-1.
 
-    The key is (sorted degrees, edge sum, brute-force star counts), the
-    two per-graph values coming from the cores of inverse_degree_edge_sum
-    and star_counts_bruteforce.  No Graph is built: the neighbour bitmasks,
-    the degrees and the edges, in bit order, are kept up to date from one
-    mask to the next.  mask + 1 clears the trailing run of set bits of
-    mask and sets the bit above it, so about two pairs toggle per step.
+    The key is the one _encode_key gives, computed without a Graph and
+    without a Fraction, by the cores of the two per-graph checks: the edge
+    sum by _edge_sum_numerator over the fixed scale L = lcm(1..n-1), and
+    the star counts by _packed_star_counts, reading each neighbour mask's
+    subset histogram from a table.  The table is built here, once per
+    range, by walking the subsets of every one of the 2^n possible
+    neighbour masks once: 3^n subset visits, 2,187 at n = 7.  The
+    neighbour bitmasks, the degrees and the edges, in bit order, are kept
+    up to date from one mask to the next.  mask + 1 clears the trailing run
+    of set bits of mask and sets the bit above it, so about two pairs
+    toggle per step.
     """
     pairs = _vertex_pairs(n)
+    scale, width = _key_layout(n)
+    inverses = [0, *(scale // d for d in range(1, n))]
+    histograms = [_subset_histogram(nbr, width) for nbr in range(1 << n)]
     edges = [pair for i, pair in enumerate(pairs) if start >> i & 1]
     nbrs = [0] * n
     for u, v in edges:
@@ -518,8 +592,8 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
             edges[:t] = (pairs[t],)
         yield mask, (
             tuple(sorted(degrees)),
-            _inverse_degree_edge_sum(degrees, edges),
-            _star_counts_bruteforce(nbrs),
+            _edge_sum_numerator(degrees, edges, inverses),
+            _packed_star_counts(nbrs, histograms.__getitem__),
         )
 
 
@@ -531,14 +605,14 @@ def _sweep_masks(
 
     memo comes from _profile_memo, and a mask's key from _mask_keys.  Only
     a graph whose edge sum or star counts disagree with its profile's
-    misses the memo; that graph is built, and its own _profile_part is
-    evaluated and added to memo.
+    misses the memo; its key is decoded, that graph is built, and its own
+    _profile_part is evaluated and added to memo.
     """
     pairs = _vertex_pairs(n)
     for mask, key in _mask_keys(n, start, stop):
         entry = memo.get(key)
         if entry is None:
-            _, edge_sum, counts = key
+            _, edge_sum, counts = _decode_key(n, key)
             g = _graph_from_mask(n, pairs, mask)
             entry = memo[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
         yield mask, entry
@@ -551,12 +625,14 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
     the same information as f) run once per profile, before the first mask.
-    Per graph, only the edge sum and the brute-force star counts run, on
-    neighbour bitmasks kept up to date from mask to mask, so no Graph is
-    built for a graph whose values match its profile's.  The graphs of a
-    passing profile share one theorems tuple; a per-graph failure is
-    evaluated on its own.  itertools.islice reads part of a sweep; the
-    masks it skips are still swept.
+    Per graph, only the edge sum and the brute-force star counts run, as
+    integers on neighbour bitmasks kept up to date from mask to mask: the
+    star counts sum the neighbour masks' subset histograms, each walked once
+    per sweep into a table of all 2^n masks.  No Graph is built for a graph
+    whose values match its profile's.  The graphs of a passing profile share
+    one theorems tuple; a per-graph failure is evaluated on its own.
+    itertools.islice reads part of a sweep; the masks it skips are still
+    swept.
     """
     memo = _profile_memo(n, p_max, m_max)
     for mask, entry in _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import binomial, surjection_row
 from .graph import FrequencySequence, Graph
@@ -205,16 +205,22 @@ def inverse_degree_edge_sum(g: Graph) -> Fraction:
     1/deg(v), one per incident edge.  The terms are summed edge by edge as
     integers over L, the lcm of the nonzero degrees, and divided once.
     """
-    return _inverse_degree_edge_sum(g.vertex_degrees, g.edges)
-
-
-def _inverse_degree_edge_sum(
-    degrees: Sequence[int], edges: Iterable[tuple[int, int]]
-) -> Fraction:
-    """inverse_degree_edge_sum of the graph with these vertex degrees and
-    edges, for callers that keep both without building a Graph."""
+    degrees = g.vertex_degrees
     lcm = math.lcm(*filter(None, degrees))
-    return Fraction(sum([lcm // degrees[u] + lcm // degrees[v] for u, v in edges]), lcm)
+    inverses = {d: lcm // d for d in set(degrees) if d}
+    return Fraction(_edge_sum_numerator(degrees, g.edges, inverses), lcm)
+
+
+def _edge_sum_numerator(
+    degrees: Sequence[int], edges: Iterable[tuple[int, int]], inverses: Mapping[int, int]
+) -> int:
+    """L times inverse_degree_edge_sum of the graph with these vertex
+    degrees and edges, where inverses[d] = L // d for each degree d of an
+    edge's end, for callers that keep both without building a Graph.
+
+    Each edge adds inverses[deg(u)] + inverses[deg(v)], term by term.
+    """
+    return sum([inverses[degrees[u]] + inverses[degrees[v]] for u, v in edges])
 
 
 def isolated_count_from_star(s: StarSequence) -> int:

@@ -232,6 +232,37 @@ def test_zagreb_refuses_answers_past_the_digit_cap(tmp_path, capsys, monkeypatch
         assert captured.err == f"error: {src}: {record['error']}\n"
 
 
+@pytest.mark.parametrize("method", ["recurrence", "all"])
+def test_zagreb_bounds_recurrence_steps_when_max_degree_is_below_2(
+    tmp_path, capsys, monkeypatch, method
+):
+    # Z_p of K_2 is 2 at every p, but the recurrence runs p steps, so its
+    # bound takes the max degree as 2: p*log10(2) + log10(2) <= 300,000.
+    def unreachable(*args):
+        raise AssertionError("the recurrence ran past its step bound")
+
+    monkeypatch.setattr(cli, "zagreb_by_recurrence", unreachable)
+    src = write(tmp_path, "k2.txt", "2\n0 1\n")
+    for p in ("996578", "1000000000", "1" + "0" * 400):
+        rc = main(["zagreb", src, "--p", p, "--method", method, "--json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (record,) = json_lines(captured.out)
+        assert record["type"] == "error"
+        assert "p*log10(2) + log10(n) must not exceed 300,000" in record["error"]
+        assert captured.err == f"error: {src}: {record['error']}\n"
+    # Just inside the bound, and for the routes that take no steps, K_2 is
+    # answered.
+    monkeypatch.undo()
+    assert main(["zagreb", src, "--p", "996577", "--method", method, "--json"]) == 0
+    (record,) = json_lines(capsys.readouterr().out)
+    assert set(record["values"].values()) == {"2"}
+    for other in ("direct", "star"):
+        assert main(["zagreb", src, "--p", "1000000000", "--method", other, "--json"]) == 0
+        (record,) = json_lines(capsys.readouterr().out)
+        assert record["values"] == {other: "2"}
+
+
 def test_zagreb_digit_cap_refuses_only_that_graph(tmp_path, capsys):
     # In a batch, P_3 is refused while K_1, whose Z_p has one digit, is answered.
     src = write(tmp_path, "p3-k1.g6", "Bw\n@\n")

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -30,6 +32,7 @@ from starzagreb.oracle import (
     verify_all_identities,
 )
 from starzagreb.star import StarSequence, frequency_from_star, inverse_degree_edge_sum
+from tests.named import complete, path
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -159,7 +162,9 @@ def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
             )
             for g in oracle.all_labeled_graphs(n)
         }
-        assert set(oracle._profile_memo(n, 1, 0)) == keys
+        memo = oracle._profile_memo(n, 1, 0)
+        assert {oracle._decode_key(n, key) for key in memo} == keys
+        assert {oracle._encode_key(n, *key) for key in keys} == set(memo)
     assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
     assert oracle._realize(4, (3, 3, 1, 1)) is None
     assert oracle._realize(3, (1, 1, 1)) is None
@@ -193,7 +198,8 @@ def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
     keys = list(oracle._mask_keys(6, 0, 1 << 15))
     assert [mask for mask, _ in keys] == list(range(1 << 15))
     for mask, key in keys:
-        assert key == slow_key(6, mask), mask
+        assert oracle._decode_key(6, key) == slow_key(6, mask), mask
+        assert key == oracle._encode_key(6, *slow_key(6, mask)), mask
 
 
 @cache
@@ -210,7 +216,7 @@ def memo7() -> dict:
 def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
     # A pool task's range starts its bitmasks from any mask, not only 0.
     stop = min(start + length, 1 << 21)
-    assert [key for _, key in oracle._mask_keys(7, start, stop)] == [
+    assert [oracle._decode_key(7, key) for _, key in oracle._mask_keys(7, start, stop)] == [
         slow_key(7, mask) for mask in range(start, stop)
     ]
     assert range_reports(7, start, stop, memo7()) == [
@@ -236,6 +242,92 @@ def test_passing_sweep_builds_no_graph(monkeypatch):
     assert built == []
     labeled_graph_from_mask(5, 3)
     assert len(built) == 1
+
+
+def record_histograms(monkeypatch) -> list[tuple[int, int, int]]:
+    """(mask, width, packed histogram) of each _subset_histogram call from now on."""
+    calls = []
+    real = oracle._subset_histogram
+
+    def recording(mask, width):
+        calls.append((mask, width, real(mask, width)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(oracle, "_subset_histogram", recording)
+    return calls
+
+
+def direct_histogram(mask: int) -> Counter:
+    """The non-empty subsets of mask tallied by size, each read off by
+    testing every smaller integer for containment."""
+    return Counter(sub.bit_count() for sub in range(1, mask + 1) if sub & mask == sub)
+
+
+def test_sweep_table_unpacks_to_a_direct_subset_walk(monkeypatch):
+    # A range's table holds every possible neighbour mask's histogram,
+    # field k being the number of k-element subsets.
+    calls = record_histograms(monkeypatch)
+    for n in range(1, oracle.MAX_ENUM_N + 1):
+        calls.clear()
+        list(oracle._mask_keys(n, 0, 1))
+        assert sorted(mask for mask, _, _ in calls) == list(range(1 << n))
+        for mask, width, packed in calls:
+            assert width == oracle._star_field_width(n)
+            fields = [packed >> k * width & (1 << width) - 1 for k in range(n + 1)]
+            expected = direct_histogram(mask)
+            assert fields == [expected[k] for k in range(n + 1)], (n, mask)
+            assert packed >> (n + 1) * width == 0
+
+
+def test_star_field_width_holds_every_bucket():
+    # Field k sums C(deg(v), k) over the n vertices, at most n * 2^(n-1).
+    for n in range(1, oracle.MAX_BRUTEFORCE_N + 1):
+        assert n << (n - 1) < 1 << oracle._star_field_width(n)
+    for n in range(2, 13):
+        assert star_counts_bruteforce(complete(n)) == tuple(
+            n * math.comb(n - 1, k) // (2 if k == 1 else 1) for k in range(1, n)
+        )
+
+
+def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
+    memo = oracle._profile_memo(5, 8, 4)
+    calls = record_histograms(monkeypatch)
+    assert len(list(oracle._sweep_masks(5, 0, 1 << 10, memo, 8, 4))) == 1024
+    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
+    calls.clear()
+    list(oracle._sweep_masks(5, 0, 512, memo, 8, 4))
+    list(oracle._sweep_masks(5, 512, 1024, memo, 8, 4))
+    assert Counter(mask for mask, _, _ in calls) == Counter(2 * list(range(1 << 5)))
+
+
+def test_public_bruteforce_walks_each_centre_once(monkeypatch):
+    # The public path builds no table: one walk per vertex, of its own
+    # neighbour mask, even at the brute-force limit.
+    calls = record_histograms(monkeypatch)
+    g = path(oracle.MAX_BRUTEFORCE_N)
+    assert star_counts_bruteforce(g) == (g.n - 1, g.n - 2, *[0] * (g.n - 3))
+    nbrs = [sum(1 << w for w in (v - 1, v + 1) if 0 <= w < g.n) for v in range(g.n)]
+    assert [mask for mask, _, _ in calls] == nbrs
+
+
+def test_json_sweep_renders_each_entry_once_per_range(capsys, monkeypatch):
+    # Only the identifier, n and m are formatted per graph; report_to_dict
+    # runs once for each memo entry a mask range meets.  At n = 5 the
+    # 1,024 masks form eight ranges of 128.
+    calls = []
+    real = cli.report_to_dict
+
+    def counting(report):
+        calls.append(report.graph_id)
+        return real(report)
+
+    monkeypatch.setattr(cli, "report_to_dict", counting)
+    rc, out = sweep_stdout(capsys, 5, "--json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][1]
+    profiles = [frequency_sequence(labeled_graph_from_mask(5, mask)).counts for mask in range(1024)]
+    expected = sum(len(set(profiles[lo : lo + 128])) for lo in range(0, 1024, 128))
+    assert len(calls) == expected < 1024
 
 
 def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
@@ -380,10 +472,17 @@ def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
 
 # Each per-graph check, named after its public function, and a way to put
 # its value off by one.  The sweep calls the check's core directly, so the
-# fault goes into the core, under the same name with a leading underscore.
+# fault goes into the core, on the core's packed or scaled integer: the raw
+# k = 1 field counts each edge from both ends, and the sweep's edge sum is
+# taken over L = lcm(1, 2, 3) at n = 4.
 PER_GRAPH_FAULTS = [
-    ("star_counts_bruteforce", "star_bruteforce", "k=1", lambda c: (c[0] + 1, *c[1:])),
-    ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + 1),
+    (
+        "star_counts_bruteforce",
+        "star_bruteforce",
+        "k=1",
+        lambda c: c + (2 << oracle._star_field_width(4)),
+    ),
+    ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + math.lcm(1, 2, 3)),
 ]
 
 
@@ -393,10 +492,17 @@ def edges_from_neighbour_masks(nbrs) -> frozenset[tuple[int, int]]:
     )
 
 
-# The edge set each core is called on, read off its arguments.
-CORE_EDGES = {
-    "star_counts_bruteforce": edges_from_neighbour_masks,
-    "inverse_degree_edge_sum": lambda degrees, edges: frozenset(edges),
+# The core each check's fault goes into, and the edge set that core is
+# called on, read off its arguments.
+CORES = {
+    "star_counts_bruteforce": (
+        "_packed_star_counts",
+        lambda nbrs, histogram: edges_from_neighbour_masks(nbrs),
+    ),
+    "inverse_degree_edge_sum": (
+        "_edge_sum_numerator",
+        lambda degrees, edges, inverses: frozenset(edges),
+    ),
 }
 
 
@@ -420,12 +526,12 @@ def test_per_graph_fault_fails_exactly_that_graph(
     profile = masks_with_profile(4, frequency_sequence(target).counts)
     assert len(profile) == 4
     assert mask in (min(profile), max(profile))
-    core = f"_{name}"
+    core, core_edges = CORES[name]
     real = getattr(oracle, core)
 
     def faulty(*args):
         result = real(*args)
-        return bump(result) if CORE_EDGES[name](*args) == target.edges else result
+        return bump(result) if core_edges(*args) == target.edges else result
 
     monkeypatch.setattr(oracle, core, faulty)
     rc, out = sweep_stdout(capsys, 4)
