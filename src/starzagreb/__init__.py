@@ -15,7 +15,7 @@ from .oracle import *
 from .star import *
 from .zagreb import *
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     *combinatorics.__all__,

@@ -41,7 +41,9 @@ from .graph import (
 )
 from .oracle import (
     MAX_ENUM_N,
+    MAX_VERIFY_EXPONENT,
     TheoremReport,
+    _check_limits,
     _profile_memo,
     _sweep_masks,
     verify_all_identities,
@@ -438,8 +440,8 @@ def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iter
     render, line = (
         (_report_json_tail, _report_json_line) if as_json else (_report_verdict, _report_line)
     )
-    # id(memo entry) -> (rendering after m, checks, failed, errata); memo
-    # keeps every entry alive, so no id is reused within the range.
+    # id(entry) -> (rendering after m, checks, failed, errata); the memo and
+    # _sweep_masks keep every entry alive, so no id is reused in the range.
     seen: dict[int, tuple] = {}
     masks = _sweep_masks(n, start, stop, memo, p_max, m_max)
     for block in iter(lambda: list(islice(masks, SWEEP_BLOCK)), []):
@@ -547,10 +549,10 @@ SWEEP_BLOCK = 256
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.p_max < 1:
-        return _usage_error("--p-max must be at least 1")
-    if args.m_max < 0:
-        return _usage_error("--m-max must be non-negative")
+    try:
+        _check_limits(args.p_max, args.m_max)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.jobs < 1:
         return _usage_error("--jobs must be at least 1")
 
@@ -655,8 +657,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_ver, input_required=False)
     p_ver.add_argument("--exhaustive", action="store_true", help="sweep all labeled graphs on --n vertices")
     p_ver.add_argument("--n", type=int, default=None, help=f"vertex count for --exhaustive (at most {MAX_ENUM_N})")
-    p_ver.add_argument("--p-max", dest="p_max", type=int, default=8, help="largest Zagreb exponent checked")
-    p_ver.add_argument("--m-max", dest="m_max", type=int, default=4, help="largest moment exponent checked")
+    p_ver.add_argument("--p-max", dest="p_max", type=int, default=8, help=f"largest Zagreb exponent checked (at most {MAX_VERIFY_EXPONENT})")
+    p_ver.add_argument("--m-max", dest="m_max", type=int, default=4, help=f"largest moment exponent checked (at most {MAX_VERIFY_EXPONENT})")
     p_ver.add_argument("--jobs", type=int, default=1, help="worker processes for batch/exhaustive runs")
     p_ver.set_defaults(handler=cmd_verify)
 

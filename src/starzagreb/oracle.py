@@ -12,20 +12,20 @@ that read a graph only through its frequency sequence compute their
 ground truth once: one table of direct Z_p values and one row of each
 moment side, shared by every check and note.  sweep_reports yields the
 same reports for every labeled graph on n vertices, evaluating those
-identities once per distinct degree profile.  The edge sum and the
-brute-force star counts still run on every graph; together with the
-profile they fix every theorem.  So before the first mask, a
-Havel-Hakimi realization of each degree profile fills one memo, keyed on
-the profile and those two values, which hands the graphs of a passing
-profile one theorems tuple, with each result's pass status computed once.
-Per graph, the sweep keeps the neighbour bitmasks, degrees and edges up to
-date from one mask to the next and runs the two per-graph checks' cores on
-them, as integers: the edge sum over the fixed scale lcm(1..n-1), and the
-star counts as a sum of the neighbour masks' subset histograms, read from
-a table that each mask range fills by walking every possible neighbour
-mask's subsets once.  A Fraction, unpacked counts and a Graph are built
-only for a mask whose key misses the memo.  Worker processes are sent the
-memo, each sweeping a range of masks.
+identities once per distinct degree profile.  Since the star sequence
+and f determine each other, only the edge sum and the brute-force star
+counts read more of a graph than its profile.  So before the first mask, a
+Havel-Hakimi realization of each profile fills one memo, keyed on the
+profile, with those two values as integers and the realization's results:
+the graphs of a passing profile share one theorems tuple, with each
+result's pass status computed once.  Per graph, the sweep keeps the
+neighbour bitmasks, degrees and edges up to date from one mask to the next
+and runs the two per-graph checks' cores on them, as integers: the edge
+sum over the fixed scale lcm(1..n-1), and the star counts as a sum of the
+neighbour masks' subset histograms, read from a table that each mask range
+fills by walking every possible neighbour mask's subsets once.  A graph
+whose integers differ from its profile's is built and evaluated on its own.
+Worker processes are sent the memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .zagreb import (
 __all__ = [
     "MAX_ENUM_N",
     "MAX_BRUTEFORCE_N",
+    "MAX_VERIFY_EXPONENT",
     "TheoremCheck",
     "TheoremResult",
     "ErratumNote",
@@ -79,6 +80,10 @@ MAX_ENUM_N = 7
 # vertex's neighbourhood, up to n * 2^(n-1) subsets: about 1.4 s for K_20,
 # the worst case, and about 4.4 times longer per two more vertices.
 MAX_BRUTEFORCE_N = 20
+# The largest p_max and m_max, whose cost grows as their square.  On n
+# vertices the exponents past n - 1 test nothing new (Vandermonde on the
+# degrees), and this is at least max(8, 2n) for every n verify accepts.
+MAX_VERIFY_EXPONENT = 2 * MAX_BRUTEFORCE_N
 
 
 def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
@@ -89,22 +94,30 @@ def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
     subsets are walked once, by _subset_histogram, and tallied by size.
     No table is built: each center's subsets are walked as it comes.
     """
-    nbrs = [0] * g.n
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    width = _star_field_width(g.n)
+    nbrs = _neighbour_masks(g.n, g.edges)
+    width = _star_field_width(g.n, max((nbr.bit_count() for nbr in nbrs), default=0))
     packed = _packed_star_counts(nbrs, partial(_subset_histogram, width=width))
     return _unpack_star_counts(packed, g.n, width)
 
 
-def _star_field_width(n: int) -> int:
-    """Bits per field of a packed star-count histogram on n vertices.
+def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Bit v of entry u is set when the edge (u, v) or (v, u) is listed."""
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _star_field_width(n: int, delta: int) -> int:
+    """Bits per field of a packed star-count histogram on n vertices of
+    degree at most delta.
 
     Field k tallies the (center, k neighbours) pairs, at most
-    n * C(n-1, k) <= n * 2^(n-1), so it never carries into field k + 1.
+    n * C(delta, k) < n * 2^delta, so it never carries into field k + 1.
+    The sweep's table takes delta = n - 1, the largest degree possible.
     """
-    return (n << (n - 1)).bit_length()
+    return (n << delta).bit_length()
 
 
 def _subset_histogram(mask: int, width: int) -> int:
@@ -442,10 +455,10 @@ def _profile_part(
 
 
 def _check_limits(p_max: int, m_max: int) -> None:
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+    if not 1 <= p_max <= MAX_VERIFY_EXPONENT:
+        raise ValueError(f"p_max must be between 1 and MAX_VERIFY_EXPONENT = {MAX_VERIFY_EXPONENT}")
+    if not 0 <= m_max <= MAX_VERIFY_EXPONENT:
+        raise ValueError(f"m_max must be between 0 and MAX_VERIFY_EXPONENT = {MAX_VERIFY_EXPONENT}")
 
 
 def verify_all_identities(
@@ -457,7 +470,8 @@ def verify_all_identities(
     truth).  Failures land in the report, not in exceptions; two runs over
     the same graph produce identical reports.  Graphs with more than
     MAX_BRUTEFORCE_N vertices are refused with ValueError, since the
-    brute-force star counts visit up to n * 2^(n-1) neighbour subsets.
+    brute-force star counts visit up to n * 2^(n-1) neighbour subsets; so
+    are p_max and m_max above MAX_VERIFY_EXPONENT.
     """
     _check_limits(p_max, m_max)
     if g.n > MAX_BRUTEFORCE_N:
@@ -491,71 +505,47 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
     return Graph(n, frozenset(edges))
 
 
-def _key_layout(n: int) -> tuple[int, int]:
-    """How a sweep memo key on n vertices is packed: the scale
-    L = lcm(1..n-1) of the edge sum, and the bits per star-count field.
-
-    A key is the sorted degrees, the inverse-degree edge sum times L, and
-    the raw star counts as _packed_star_counts gives them, so hashing and
-    comparing it touches no Fraction.
-    """
-    return math.lcm(*range(1, n)), _star_field_width(n)
-
-
-def _encode_key(
-    n: int, degrees: Sequence[int], edge_sum: Fraction, counts: Sequence[int]
-) -> tuple[tuple[int, ...], int, int]:
-    """The memo key of an n-vertex graph with these degrees, edge sum and
-    brute-force star counts (S_1, ..., S_{n-1})."""
-    scale, width = _key_layout(n)
-    raw = [2 * counts[0], *counts[1:]] if counts else []
-    packed = sum(c << width * k for k, c in enumerate(raw, start=1))
-    # Every degree divides scale, so the edge sum times scale is an integer.
-    return tuple(sorted(degrees)), int(edge_sum * scale), packed
-
-
-def _decode_key(n: int, key: tuple[tuple[int, ...], int, int]) -> tuple:
-    """(sorted degrees, edge sum, star counts) of an n-vertex memo key,
-    as _encode_key takes them."""
-    scale, width = _key_layout(n)
-    degrees, scaled, packed = key
-    return degrees, Fraction(scaled, scale), _unpack_star_counts(packed, n, width)
-
-
-def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple, tuple]:
+def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple[int, ...], tuple]:
     """A sweep memo holding every degree profile on n vertices.
 
     Each non-increasing degree sequence that Havel-Hakimi realizes is one
-    profile; its realization is evaluated once, keyed by _encode_key on
-    its degrees, edge sum and brute-force star counts.  Equal results are
-    kept once, so the graphs of every passing profile share one theorems
-    tuple.
+    profile, keyed on its sorted degrees.  The entry holds its realization's
+    two per-graph values as _mask_keys gives a mask's, then that graph's
+    (theorems, errata), evaluated on those values.  Equal results are kept
+    once, so the graphs of every passing profile share one theorems tuple.
     """
     _check_limits(p_max, m_max)
     _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
-    # key -> (theorems, errata)
-    memo: dict[tuple, tuple] = {}
+    scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
+    inverses = [0, *(scale // d for d in range(1, n))]
+    # sorted degrees -> (edge-sum numerator, packed counts, (theorems, errata))
+    memo: dict[tuple[int, ...], tuple] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
     for degrees in combinations_with_replacement(range(n - 1, -1, -1), n):
         g = _realize(n, degrees)
         if g is not None:
-            edge_sum = inverse_degree_edge_sum(g)
-            counts = star_counts_bruteforce(g)
-            theorems, errata = _profile_part(g, edge_sum, counts, p_max, m_max)
+            num = _edge_sum_numerator(g.vertex_degrees, g.edges, inverses)
+            packed = _packed_star_counts(
+                _neighbour_masks(n, g.edges), partial(_subset_histogram, width=width)
+            )
+            theorems, errata = _profile_part(
+                g, Fraction(num, scale), _unpack_star_counts(packed, n, width), p_max, m_max
+            )
             theorems = tuple(results.setdefault(r, r) for r in theorems)
-            memo[_encode_key(n, degrees, edge_sum, counts)] = (theorems, errata)
+            memo[tuple(sorted(degrees))] = (num, packed, (theorems, errata))
     return memo
 
 
 def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
-    """(mask, memo key) for the labeled graphs with masks start..stop-1.
+    """(mask, (sorted degrees, edge-sum numerator, packed star counts)) for
+    the labeled graphs with masks start..stop-1.
 
-    The key is the one _encode_key gives, computed without a Graph and
-    without a Fraction, by the cores of the two per-graph checks: the edge
-    sum by _edge_sum_numerator over the fixed scale L = lcm(1..n-1), and
-    the star counts by _packed_star_counts, reading each neighbour mask's
+    The two per-graph values are computed without a Graph and without a
+    Fraction, by the cores of the two per-graph checks: the edge sum by
+    _edge_sum_numerator over the fixed scale L = lcm(1..n-1), and the raw
+    star counts by _packed_star_counts, reading each neighbour mask's
     subset histogram from a table.  The table is built here, once per
     range, by walking the subsets of every one of the 2^n possible
     neighbour masks once: 3^n subset visits, 2,187 at n = 7.  The
@@ -565,14 +555,11 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
     toggle per step.
     """
     pairs = _vertex_pairs(n)
-    scale, width = _key_layout(n)
+    scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
     inverses = [0, *(scale // d for d in range(1, n))]
     histograms = [_subset_histogram(nbr, width) for nbr in range(1 << n)]
     edges = [pair for i, pair in enumerate(pairs) if start >> i & 1]
-    nbrs = [0] * n
-    for u, v in edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    nbrs = _neighbour_masks(n, edges)
     degrees = [nbr.bit_count() for nbr in nbrs]
     for mask in range(start, stop):
         if mask > start:
@@ -598,23 +585,29 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
 
 
 def _sweep_masks(
-    n: int, start: int, stop: int, memo: dict[tuple, tuple], p_max: int, m_max: int
+    n: int, start: int, stop: int, memo: dict[tuple[int, ...], tuple], p_max: int, m_max: int
 ) -> Iterator[tuple[int, tuple]]:
     """(mask, memo entry) for the labeled graphs with masks start..stop-1,
     in mask order; the entry is the (theorems, errata) of the mask's report.
 
-    memo comes from _profile_memo, and a mask's key from _mask_keys.  Only
-    a graph whose edge sum or star counts disagree with its profile's
-    misses the memo; its key is decoded, that graph is built, and its own
-    _profile_part is evaluated and added to memo.
+    memo comes from _profile_memo and is only read.  A mask's sorted
+    degrees pick its profile, and the mask shares the profile's entry when
+    the two integers _mask_keys gives it equal the profile's.  Otherwise
+    that graph is built and its own _profile_part runs on its own values;
+    the memo's integers decide only what is shared, never a verdict.  Such
+    an entry is kept for the rest of the range, keyed on all three values:
+    a caller may cache by the entry's id, which must then not be reused.
     """
-    pairs = _vertex_pairs(n)
+    scale, own = math.lcm(*range(1, n)), {}
     for mask, key in _mask_keys(n, start, stop):
-        entry = memo.get(key)
-        if entry is None:
-            _, edge_sum, counts = _decode_key(n, key)
-            g = _graph_from_mask(n, pairs, mask)
-            entry = memo[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
+        degrees, num, packed = key
+        profile_num, profile_packed, entry = memo[degrees]
+        if num != profile_num or packed != profile_packed:
+            if key not in own:
+                counts = _unpack_star_counts(packed, n, _star_field_width(n, n - 1))
+                g, edge_sum = labeled_graph_from_mask(n, mask), Fraction(num, scale)
+                own[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
+            entry = own[key]
         yield mask, entry
 
 
@@ -624,15 +617,15 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
-    the same information as f) run once per profile, before the first mask.
-    Per graph, only the edge sum and the brute-force star counts run, as
-    integers on neighbour bitmasks kept up to date from mask to mask: the
-    star counts sum the neighbour masks' subset histograms, each walked once
-    per sweep into a table of all 2^n masks.  No Graph is built for a graph
-    whose values match its profile's.  The graphs of a passing profile share
-    one theorems tuple; a per-graph failure is evaluated on its own.
-    itertools.islice reads part of a sweep; the masks it skips are still
-    swept.
+    the same information as f) run once per profile, on a realization of it,
+    before the first mask.  Per graph, only the edge sum and the brute-force
+    star counts run, as integers on neighbour bitmasks kept up to date from
+    mask to mask: the star counts sum the neighbour masks' subset
+    histograms, each walked once per sweep into a table of all 2^n masks.
+    A graph whose two values equal its profile's shares the profile's
+    theorems tuple and builds no Graph; any other graph is evaluated on its
+    own.  itertools.islice reads part of a sweep; the masks it skips are
+    still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
     for mask, entry in _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max):

@@ -395,6 +395,25 @@ def test_verify_usage_errors(tmp_path, capsys):
         assert captured.err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("flag, name", [("--p-max", "p_max"), ("--m-max", "m_max")])
+def test_verify_refuses_exponents_past_their_bound(tmp_path, capsys, flag, name):
+    # Refused before any input is read: the file does not exist.
+    bound = oracle.MAX_VERIFY_EXPONENT
+    low = 1 if name == "p_max" else 0
+    missing = str(tmp_path / "never-read.txt")
+    for argv in (["verify", missing], ["verify", "--exhaustive", "--n", "3"]):
+        for value in (bound + 1, 10**9):
+            assert main([*argv, flag, str(value)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {name} must be between {low} and MAX_VERIFY_EXPONENT = {bound}\n"
+            )
+    src = write(tmp_path, "k2.txt", "2\n0 1\n")
+    assert main(["verify", src, flag, str(bound)]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+
+
 def test_verify_graph6_batch_with_bad_line(tmp_path, capsys):
     src = write(tmp_path, "mixed.g6", "Bw\n###\nA_\n")
     rc = main(["verify", src, "--json", "--p-max", "3", "--m-max", "2"])

@@ -17,6 +17,7 @@ from starzagreb.star import star_sequence
 from starzagreb.oracle import (
     MAX_BRUTEFORCE_N,
     MAX_ENUM_N,
+    MAX_VERIFY_EXPONENT,
     all_labeled_graphs,
     count_stars_bruteforce,
     labeled_graph_from_mask,
@@ -281,6 +282,20 @@ def test_report_validation():
         verify_all_identities(path(3), p_max=0)
     with pytest.raises(ValueError):
         verify_all_identities(path(3), m_max=-1)
+
+
+def test_exponents_bounded_past_every_accepted_graphs_need():
+    # 2n exponents on n <= MAX_BRUTEFORCE_N vertices cover more than the
+    # n - 1 that separate every degree, and the default 8.
+    assert MAX_VERIFY_EXPONENT >= max(8, 2 * MAX_BRUTEFORCE_N)
+    report = verify_all_identities(path(3), p_max=MAX_VERIFY_EXPONENT, m_max=MAX_VERIFY_EXPONENT)
+    assert report.passed
+    assert report.p_max == report.m_max == MAX_VERIFY_EXPONENT
+    for kwargs in ({"p_max": MAX_VERIFY_EXPONENT + 1}, {"m_max": MAX_VERIFY_EXPONENT + 1}):
+        with pytest.raises(ValueError, match=f"MAX_VERIFY_EXPONENT = {MAX_VERIFY_EXPONENT}"):
+            verify_all_identities(path(3), **kwargs)
+        with pytest.raises(ValueError, match="MAX_VERIFY_EXPONENT"):
+            next(oracle.sweep_reports(3, **kwargs))
 
 
 def test_reports_are_deterministic():

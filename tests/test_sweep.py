@@ -12,7 +12,9 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,7 +34,7 @@ from starzagreb.oracle import (
     verify_all_identities,
 )
 from starzagreb.star import StarSequence, frequency_from_star, inverse_degree_edge_sum
-from tests.named import complete, path
+from tests.named import path
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -148,23 +150,30 @@ def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
     assert len(calls) == len(set(calls)) == 31
 
 
+def sweep_values(n: int, degrees: tuple[int, ...], num: int, packed: int) -> tuple:
+    """Sorted degrees, edge sum and star counts from the sweep's integers:
+    the edge-sum numerator over lcm(1..n-1) and the packed raw star counts."""
+    width = oracle._star_field_width(n, n - 1)
+    edge_sum = Fraction(num, math.lcm(*range(1, n)))
+    return degrees, edge_sum, oracle._unpack_star_counts(packed, n, width)
+
+
+def public_values(g: Graph) -> tuple:
+    """A graph's sorted degrees and its two per-graph values, from the public checks."""
+    return tuple(sorted(g.vertex_degrees)), inverse_degree_edge_sum(g), star_counts_bruteforce(g)
+
+
 def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
-    # One key per graphical degree sequence (OEIS A004251), each the key of
-    # some labeled graph, so a sweep of a correct library never misses.
+    # One entry per graphical degree sequence (OEIS A004251), holding the
+    # per-graph values every labeled graph of that profile has, so a sweep
+    # of a correct library never takes the mismatch path.
     for n, profiles in zip(range(1, 8), (1, 2, 4, 11, 31, 102, 342)):
         assert len(oracle._profile_memo(n, 1, 0)) == profiles
     for n in range(1, 6):
-        keys = {
-            (
-                tuple(sorted(g.vertex_degrees)),
-                oracle.inverse_degree_edge_sum(g),
-                oracle.star_counts_bruteforce(g),
-            )
-            for g in oracle.all_labeled_graphs(n)
-        }
+        graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
         memo = oracle._profile_memo(n, 1, 0)
-        assert {oracle._decode_key(n, key) for key in memo} == keys
-        assert {oracle._encode_key(n, *key) for key in keys} == set(memo)
+        assert set(memo) == {degrees for degrees, _, _ in graphs}
+        assert {sweep_values(n, key, *memo[key][:2]) for key in memo} == graphs
     assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
     assert oracle._realize(4, (3, 3, 1, 1)) is None
     assert oracle._realize(3, (1, 1, 1)) is None
@@ -187,19 +196,17 @@ def test_sweep_subrange_and_validation():
             next(sweep_reports(*args, **kwargs))
 
 
-def slow_key(n: int, mask: int) -> tuple:
-    """A mask's memo key, from its Graph through the public per-graph checks."""
-    g = labeled_graph_from_mask(n, mask)
-    return tuple(sorted(g.vertex_degrees)), inverse_degree_edge_sum(g), star_counts_bruteforce(g)
-
-
 def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
-    # The bitmasks kept up to date from mask to mask against a Graph per mask.
+    # The bitmasks kept up to date from mask to mask against a Graph per
+    # mask, and every mask's two integers against its profile's.
+    memo = oracle._profile_memo(6, 1, 0)
     keys = list(oracle._mask_keys(6, 0, 1 << 15))
     assert [mask for mask, _ in keys] == list(range(1 << 15))
-    for mask, key in keys:
-        assert oracle._decode_key(6, key) == slow_key(6, mask), mask
-        assert key == oracle._encode_key(6, *slow_key(6, mask)), mask
+    for mask, (degrees, num, packed) in keys:
+        assert sweep_values(6, degrees, num, packed) == public_values(
+            labeled_graph_from_mask(6, mask)
+        ), mask
+        assert memo[degrees][:2] == (num, packed), mask
 
 
 @cache
@@ -216,9 +223,11 @@ def memo7() -> dict:
 def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
     # A pool task's range starts its bitmasks from any mask, not only 0.
     stop = min(start + length, 1 << 21)
-    assert [oracle._decode_key(7, key) for _, key in oracle._mask_keys(7, start, stop)] == [
-        slow_key(7, mask) for mask in range(start, stop)
+    keys = list(oracle._mask_keys(7, start, stop))
+    assert [sweep_values(7, *key) for _, key in keys] == [
+        public_values(labeled_graph_from_mask(7, mask)) for mask in range(start, stop)
     ]
+    assert all(memo7()[degrees][:2] == (num, packed) for _, (degrees, num, packed) in keys)
     assert range_reports(7, start, stop, memo7()) == [
         verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
         for mask in range(start, stop)
@@ -272,21 +281,36 @@ def test_sweep_table_unpacks_to_a_direct_subset_walk(monkeypatch):
         list(oracle._mask_keys(n, 0, 1))
         assert sorted(mask for mask, _, _ in calls) == list(range(1 << n))
         for mask, width, packed in calls:
-            assert width == oracle._star_field_width(n)
+            assert width == oracle._star_field_width(n, n - 1)
             fields = [packed >> k * width & (1 << width) - 1 for k in range(n + 1)]
             expected = direct_histogram(mask)
             assert fields == [expected[k] for k in range(n + 1)], (n, mask)
             assert packed >> (n + 1) * width == 0
 
 
+def regular(n: int, d: int) -> Graph:
+    """A d-regular graph on n vertices, for d < n and n * d even: each
+    vertex joined to the d // 2 nearest on either side around a cycle, and
+    for odd d also to the opposite vertex."""
+    offsets = [*range(1, d // 2 + 1), *([n // 2] if d % 2 else [])]
+    return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in offsets})
+
+
 def test_star_field_width_holds_every_bucket():
-    # Field k sums C(deg(v), k) over the n vertices, at most n * 2^(n-1).
+    # Field k sums C(deg(v), k) over the n vertices, at most n * C(Δ, k)
+    # for maximum degree Δ; a Δ-regular graph reaches it in every field.
     for n in range(1, oracle.MAX_BRUTEFORCE_N + 1):
-        assert n << (n - 1) < 1 << oracle._star_field_width(n)
+        for delta in range(n):
+            width = oracle._star_field_width(n, delta)
+            assert all(n * math.comb(delta, k) < 1 << width for k in range(1, n))
     for n in range(2, 13):
-        assert star_counts_bruteforce(complete(n)) == tuple(
-            n * math.comb(n - 1, k) // (2 if k == 1 else 1) for k in range(1, n)
-        )
+        for delta in range(n):
+            if n * delta % 2 == 0:
+                g = regular(n, delta)
+                assert sorted(g.vertex_degrees) == [delta] * n
+                assert star_counts_bruteforce(g) == tuple(
+                    n * math.comb(delta, k) // (2 if k == 1 else 1) for k in range(1, n)
+                ), (n, delta)
 
 
 def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
@@ -480,7 +504,7 @@ PER_GRAPH_FAULTS = [
         "star_counts_bruteforce",
         "star_bruteforce",
         "k=1",
-        lambda c: c + (2 << oracle._star_field_width(4)),
+        lambda c: c + (2 << oracle._star_field_width(4, 3)),
     ),
     ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + math.lcm(1, 2, 3)),
 ]
@@ -541,6 +565,46 @@ def test_per_graph_fault_fails_exactly_that_graph(
     assert fail_lines[0].startswith(f"FAIL n=4:mask={mask} ")
     assert f"  FAIL {theorem}/{label} residual=1" in out
     assert "failures=1 " in out
+
+
+def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypatch):
+    # An edge-sum fault of (sum of u*v over the edges mod 3) makes many
+    # graphs disagree with their profile, each evaluated on its own.  The
+    # render cache keys on the entry's id, so an entry freed within a mask
+    # range would lend its id, and its rendering, to another graph's.
+    real = oracle._edge_sum_numerator
+
+    def faulty(degrees, edges, inverses):
+        return real(degrees, edges, inverses) + sum(u * v for u, v in edges) % 3 * inverses[1]
+
+    monkeypatch.setattr(oracle, "_edge_sum_numerator", faulty)
+    pairs = list(combinations(range(6), 2))
+    expected = [
+        sum(u * v for i, (u, v) in enumerate(pairs) if mask >> i & 1) % 3 for mask in range(1 << 15)
+    ]
+    assert set(expected) == {0, 1, 2}
+
+    rc, out = sweep_stdout(capsys, 6, "--p-max", "1", "--m-max", "0")
+    printed: dict[int, list[str]] = {}
+    for line in out.splitlines()[:-1]:
+        if line.startswith("  "):
+            printed[mask].append(line)
+        else:
+            mask = int(line.split()[1].removeprefix("n=6:mask="))
+            printed[mask] = [line.split()[0]]
+    assert rc == 1
+    assert list(printed) == list(range(1 << 15))
+    for mask, residual in enumerate(expected):
+        own = ["FAIL", f"  FAIL inverse_degree_sum/edge_sum residual={residual}"]
+        assert printed[mask] == (own if residual else ["PASS"]), mask
+
+    rc, out = sweep_stdout(capsys, 6, "--p-max", "1", "--m-max", "0", "--json")
+    records = json_lines(out)[:-1]
+    assert rc == 1
+    assert [r["identifier"] for r in records] == [f"n=6:mask={mask}" for mask in range(1 << 15)]
+    for rec, residual in zip(records, expected):
+        assert rec["theorems"]["inverse_degree_sum"]["residuals"]["edge_sum"] == str(residual)
+        assert rec["passed"] == (residual == 0), rec["identifier"]
 
 
 class RecordingPool:
