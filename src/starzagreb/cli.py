@@ -429,36 +429,29 @@ def _report_tallies(report: TheoremReport) -> tuple[int, bool, int]:
     return report.check_count, not report.passed, len(_triggered_ids(report))
 
 
+def _render_entry(p_max: int, m_max: int, as_json: bool, result: tuple) -> tuple:
+    """A sweep memo entry's finished form: the text or JSON after m of the
+    reports with that (theorems, errata), and their tallies.  Neither reads
+    a report's identifier, n or m, so those are left blank."""
+    report = TheoremReport("", 0, 0, p_max, m_max, *result)
+    render = _report_json_tail if as_json else _report_verdict
+    return (render(report), *_report_tallies(report))
+
+
 def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[_Outcome]:
     """Outcomes for the masks start..stop-1, one per SWEEP_BLOCK masks:
-    their lines joined and their tallies summed.
-
-    The reports of one memo entry differ only in identifier and m, so each
-    entry's rendering after m, text or JSON, and its tallies are worked
-    out once, on its first report, and kept for the rest of the range."""
+    their lines joined and their tallies summed.  The memo comes finished
+    by _render_entry, as does a mask evaluated on its own, since the
+    reports of one entry differ only in identifier, n and m: those alone
+    are formatted per mask."""
     n, start, stop, memo, p_max, m_max, as_json = task
-    render, line = (
-        (_report_json_tail, _report_json_line) if as_json else (_report_verdict, _report_line)
-    )
-    # id(entry) -> (rendering after m, checks, failed, errata); the memo and
-    # _sweep_masks keep every entry alive, so no id is reused in the range.
-    seen: dict[int, tuple] = {}
-    masks = _sweep_masks(n, start, stop, memo, p_max, m_max)
+    line = _report_json_line if as_json else _report_line
+    finish = partial(_render_entry, p_max, m_max, as_json)
+    masks = _sweep_masks(n, start, stop, memo, p_max, m_max, finish)
     for block in iter(lambda: list(islice(masks, SWEEP_BLOCK)), []):
-        lines = []
-        checks = failures = errata_hits = 0
-        for mask, entry in block:
-            graph_id, m = f"n={n}:mask={mask}", mask.bit_count()
-            known = seen.get(id(entry))
-            if known is None:
-                report = TheoremReport(graph_id, n, m, p_max, m_max, *entry)
-                known = seen[id(entry)] = (render(report), *_report_tallies(report))
-            tail, entry_checks, failed, entry_errata = known
-            lines.append(line(graph_id, n, m, tail))
-            checks += entry_checks
-            failures += failed
-            errata_hits += entry_errata
-        yield ("report", "\n".join(lines), len(block), checks, failures, errata_hits)
+        text = "\n".join(line(f"n={n}:mask={mask}", n, mask.bit_count(), e[0]) for mask, e in block)
+        tallies = (sum(column) for column in zip(*(e[1:] for _, e in block)))
+        yield ("report", text, len(block), *tallies)
 
 
 def _report_json_tail(report: TheoremReport) -> str:
@@ -538,8 +531,8 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
 
 
 # Largest mask range one exhaustive-sweep task covers.  Every task is
-# sent the memo of all degree profiles, evaluated once here, so a range
-# repeats no profile work.
+# sent the memo of all degree profiles, evaluated and rendered once here,
+# so a range repeats no profile work.
 SWEEP_RANGE = 1 << 12
 # Most graphs one sweep outcome carries.  Printing or pickling one joined
 # block costs little per graph, while a block of --json lines, about
@@ -563,7 +556,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--exhaustive requires --n")
         if not 1 <= args.n <= MAX_ENUM_N:
             return _usage_error(f"--n must be between 1 and {MAX_ENUM_N}")
-        memo = _profile_memo(args.n, args.p_max, args.m_max)
+        finish = partial(_render_entry, args.p_max, args.m_max, args.json)
+        memo = _profile_memo(args.n, args.p_max, args.m_max, finish)
         nmasks = 1 << (args.n * (args.n - 1) // 2)
         size = min(SWEEP_RANGE, max(1, nmasks >> 3))
         ranges = (

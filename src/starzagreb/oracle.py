@@ -1,8 +1,8 @@
 """Brute-force ground truth and the all-identities verifier.
 
 Star counts are recounted here by enumeration: the subsets of each
-center's neighbourhood are walked once and tallied by size into one
-packed integer.  Labeled graphs are enumerated exhaustively, and the
+center's neighbours are walked once and tallied by size into one packed
+integer.  Labeled graphs are enumerated exhaustively, and the
 generating function is expanded by exact long division.
 verify_all_identities replays every identity in the library against those
 independent routes; a report that says pass has every residual
@@ -16,16 +16,16 @@ identities once per distinct degree profile.  Since the star sequence
 and f determine each other, only the edge sum and the brute-force star
 counts read more of a graph than its profile.  So before the first mask, a
 Havel-Hakimi realization of each profile fills one memo, keyed on the
-profile, with those two values as integers and the realization's results:
-the graphs of a passing profile share one theorems tuple, with each
-result's pass status computed once.  Per graph, the sweep keeps the
+profile, with those two values as integers and the realization's results,
+finished once in the form the caller keeps: sweep_reports keeps the
+results, the CLI their rendered text.  Per graph, the sweep keeps the
 neighbour bitmasks, degrees and edges up to date from one mask to the next
 and runs the two per-graph checks' cores on them, as integers: the edge
 sum over the fixed scale lcm(1..n-1), and the star counts as a sum of the
 neighbour masks' subset histograms, read from a table that each mask range
 fills by walking every possible neighbour mask's subsets once.  A graph
 whose integers differ from its profile's is built and evaluated on its own.
-Worker processes are sent the memo, each sweeping a range of masks.
+Worker processes are sent the finished memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
@@ -90,13 +90,17 @@ def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
     """(S_1, ..., S_{n-1}) counted by enumerating every star of g.
 
     No binomial coefficients and no degree tallies are involved: each
-    vertex's neighbourhood is read off the edges as a bitmask, and its
-    subsets are walked once, by _subset_histogram, and tallied by size.
-    No table is built: each center's subsets are walked as it comes.
+    center's mask gains one bit per edge met, bit i standing for its i-th
+    neighbour, so a center of d neighbours has the mask (1 << d) - 1.  Its
+    subsets are walked once by _subset_histogram and tallied by size.  No
+    walk is shared, so the cost is the sum over v of 2^deg(v), whatever n.
     """
-    nbrs = _neighbour_masks(g.n, g.edges)
-    width = _star_field_width(g.n, max((nbr.bit_count() for nbr in nbrs), default=0))
-    packed = _packed_star_counts(nbrs, partial(_subset_histogram, width=width))
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] = masks[u] << 1 | 1
+        masks[v] = masks[v] << 1 | 1
+    width = _star_field_width(g.n, max(masks).bit_length())
+    packed = _packed_star_counts(masks, partial(_subset_histogram, width=width))
     return _unpack_star_counts(packed, g.n, width)
 
 
@@ -135,8 +139,8 @@ def _subset_histogram(mask: int, width: int) -> int:
 
 
 def _packed_star_counts(nbrs: Iterable[int], histogram: Callable[[int], int]) -> int:
-    """The raw star counts of the graph in which bit v of nbrs[u] is set
-    when u and v are adjacent, packed as _subset_histogram packs them.
+    """The raw star counts of a graph, from one mask per center with one
+    bit per neighbour, packed as _subset_histogram packs them.
 
     A K_{1,k} is a center plus k of its neighbours, so field k sums the
     k-subsets of every neighbour mask: histogram(mask) is
@@ -505,20 +509,20 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
     return Graph(n, frozenset(edges))
 
 
-def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple[int, ...], tuple]:
+def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
     """A sweep memo holding every degree profile on n vertices.
 
     Each non-increasing degree sequence that Havel-Hakimi realizes is one
     profile, keyed on its sorted degrees.  The entry holds its realization's
-    two per-graph values as _mask_keys gives a mask's, then that graph's
-    (theorems, errata), evaluated on those values.  Equal results are kept
-    once, so the graphs of every passing profile share one theorems tuple.
+    two per-graph values as _mask_keys gives a mask's, then finish of that
+    graph's (theorems, errata), evaluated on those values.  Equal results
+    are kept once: every passing profile's graphs share one theorems tuple.
     """
     _check_limits(p_max, m_max)
     _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
     scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
     inverses = [0, *(scale // d for d in range(1, n))]
-    # sorted degrees -> (edge-sum numerator, packed counts, (theorems, errata))
+    # sorted degrees -> (edge-sum numerator, packed counts, finish((theorems, errata)))
     memo: dict[tuple[int, ...], tuple] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
@@ -534,7 +538,7 @@ def _profile_memo(n: int, p_max: int, m_max: int) -> dict[tuple[int, ...], tuple
                 g, Fraction(num, scale), _unpack_star_counts(packed, n, width), p_max, m_max
             )
             theorems = tuple(results.setdefault(r, r) for r in theorems)
-            memo[tuple(sorted(degrees))] = (num, packed, (theorems, errata))
+            memo[tuple(sorted(degrees))] = (num, packed, finish((theorems, errata)))
     return memo
 
 
@@ -585,18 +589,19 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
 
 
 def _sweep_masks(
-    n: int, start: int, stop: int, memo: dict[tuple[int, ...], tuple], p_max: int, m_max: int
-) -> Iterator[tuple[int, tuple]]:
+    n: int, start: int, stop: int, memo: dict, p_max: int, m_max: int, finish=lambda result: result
+) -> Iterator[tuple[int, object]]:
     """(mask, memo entry) for the labeled graphs with masks start..stop-1,
-    in mask order; the entry is the (theorems, errata) of the mask's report.
+    in mask order; the entry is finish applied to the (theorems, errata)
+    of the mask's report.
 
-    memo comes from _profile_memo and is only read.  A mask's sorted
-    degrees pick its profile, and the mask shares the profile's entry when
-    the two integers _mask_keys gives it equal the profile's.  Otherwise
-    that graph is built and its own _profile_part runs on its own values;
-    the memo's integers decide only what is shared, never a verdict.  Such
-    an entry is kept for the rest of the range, keyed on all three values:
-    a caller may cache by the entry's id, which must then not be reused.
+    memo comes from _profile_memo with the same finish and is only read.  A
+    mask's sorted degrees pick its profile, and the mask shares the
+    profile's entry when the two integers _mask_keys gives it equal the
+    profile's.  Otherwise that graph is built and its own _profile_part,
+    run on its own values, is finished and kept for the rest of the range,
+    keyed on all three values; the memo's integers decide only what is
+    shared, never a verdict.
     """
     scale, own = math.lcm(*range(1, n)), {}
     for mask, key in _mask_keys(n, start, stop):
@@ -606,7 +611,7 @@ def _sweep_masks(
             if key not in own:
                 counts = _unpack_star_counts(packed, n, _star_field_width(n, n - 1))
                 g, edge_sum = labeled_graph_from_mask(n, mask), Fraction(num, scale)
-                own[key] = _profile_part(g, edge_sum, counts, p_max, m_max)
+                own[key] = finish(_profile_part(g, edge_sum, counts, p_max, m_max))
             entry = own[key]
         yield mask, entry
 

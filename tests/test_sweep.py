@@ -325,33 +325,29 @@ def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
 
 
 def test_public_bruteforce_walks_each_centre_once(monkeypatch):
-    # The public path builds no table: one walk per vertex, of its own
-    # neighbour mask, even at the brute-force limit.
+    # The public path builds no table and shares no walk: one walk per
+    # vertex, in vertex order, of the mask with one bit per neighbour, and
+    # fields sized from the maximum degree, even at the brute-force limit.
     calls = record_histograms(monkeypatch)
-    g = path(oracle.MAX_BRUTEFORCE_N)
-    assert star_counts_bruteforce(g) == (g.n - 1, g.n - 2, *[0] * (g.n - 3))
-    nbrs = [sum(1 << w for w in (v - 1, v + 1) if 0 <= w < g.n) for v in range(g.n)]
-    assert [mask for mask, _, _ in calls] == nbrs
+    for g in (path(oracle.MAX_BRUTEFORCE_N), labeled_graph_from_mask(7, 0xB63AD)):
+        calls.clear()
+        counts = star_counts_bruteforce(g)
+        degrees = g.vertex_degrees
+        assert [mask for mask, _, _ in calls] == [(1 << d) - 1 for d in degrees]
+        assert {width for _, width, _ in calls} == {oracle._star_field_width(g.n, max(degrees))}
+        assert counts == tuple(
+            sum(math.comb(d, k) for d in degrees) // (2 if k == 1 else 1) for k in range(1, g.n)
+        )
 
 
-def test_json_sweep_renders_each_entry_once_per_range(capsys, monkeypatch):
-    # Only the identifier, n and m are formatted per graph; report_to_dict
-    # runs once for each memo entry a mask range meets.  At n = 5 the
-    # 1,024 masks form eight ranges of 128.
-    calls = []
-    real = cli.report_to_dict
-
-    def counting(report):
-        calls.append(report.graph_id)
-        return real(report)
-
-    monkeypatch.setattr(cli, "report_to_dict", counting)
-    rc, out = sweep_stdout(capsys, 5, "--json")
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][1]
-    profiles = [frequency_sequence(labeled_graph_from_mask(5, mask)).counts for mask in range(1024)]
-    expected = sum(len(set(profiles[lo : lo + 128])) for lo in range(0, 1024, 128))
-    assert len(calls) == expected < 1024
+def test_public_bruteforce_masks_stay_degree_wide_on_a_long_path(monkeypatch):
+    # A centre's mask has one bit per neighbour, not one per vertex, so on
+    # a sparse graph no walk grows with n.
+    calls = record_histograms(monkeypatch)
+    g = path(2000)
+    assert star_counts_bruteforce(g) == (1999, 1998, *[0] * 1997)
+    assert len(calls) == g.n
+    assert all(mask < 1 << 2 for mask, _, _ in calls)
 
 
 def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
@@ -569,9 +565,9 @@ def test_per_graph_fault_fails_exactly_that_graph(
 
 def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypatch):
     # An edge-sum fault of (sum of u*v over the edges mod 3) makes many
-    # graphs disagree with their profile, each evaluated on its own.  The
-    # render cache keys on the entry's id, so an entry freed within a mask
-    # range would lend its id, and its rendering, to another graph's.
+    # graphs disagree with their profile, each evaluated and rendered on its
+    # own, so each must print its own residual, not its profile's or that
+    # of another mismatched graph met earlier in the range.
     real = oracle._edge_sum_numerator
 
     def faulty(degrees, edges, inverses):
@@ -686,6 +682,33 @@ def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatc
     assert "summary: graphs=1024 " in out
     assert len(calls) == len(set(calls)) == 31
     assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
+    # The memo is finished, rendered text or JSON, where it is filled, so a
+    # sweep renders each of the 31 degree profiles at n = 5 (OEIS A004251)
+    # once, in process and through the pool's eight mask ranges alike; per
+    # graph only the identifier, n and m are formatted.
+    name = "report_to_dict" if extra else "_report_verdict"
+    calls = []
+    real = getattr(cli, name)
+
+    def counting(report):
+        calls.append(report)
+        return real(report)
+
+    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for jobs, pools in (("1", []), ("2", [2])):
+        calls.clear()
+        RecordingPool.sizes = []
+        rc, out = sweep_stdout(capsys, 5, "--jobs", jobs, *extra)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][bool(extra)]
+        assert RecordingPool.sizes == pools
+        assert len(calls) == len({id(r.theorems) for r in calls}) == 31, jobs
 
 
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
