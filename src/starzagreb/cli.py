@@ -440,10 +440,10 @@ def _render_entry(p_max: int, m_max: int, as_json: bool, result: tuple) -> tuple
 
 def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[_Outcome]:
     """Outcomes for the masks start..stop-1, one per SWEEP_BLOCK masks:
-    their lines joined and their tallies summed.  The memo comes finished
-    by _render_entry, as does a mask evaluated on its own, since the
-    reports of one entry differ only in identifier, n and m: those alone
-    are formatted per mask."""
+    their lines joined and their tallies summed.  The memo's entries are
+    finished by _render_entry, those a miss adds too, since the reports of
+    one entry differ only in identifier, n and m: those alone are
+    formatted per mask."""
     n, start, stop, memo, p_max, m_max, as_json = task
     line = _report_json_line if as_json else _report_line
     finish = partial(_render_entry, p_max, m_max, as_json)
@@ -530,14 +530,13 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
             yield from pending.popleft().get()
 
 
-# Largest mask range one exhaustive-sweep task covers.  Every task is
-# sent the memo of all degree profiles, evaluated and rendered once here,
-# so a range repeats no profile work.
+# Largest mask range of one exhaustive-sweep text task.  Each task is sent
+# the memo prefilled and rendered here, so a range repeats no profile work.
 SWEEP_RANGE = 1 << 12
-# Most graphs one sweep outcome carries.  Printing or pickling one joined
-# block costs little per graph, while a block of --json lines, about
-# 2.5 KB each at n = 6, stays small: a whole 4,096-mask range per outcome
-# took the --json sweep at n = 6 from 17 MB peak RSS to 57 MB.
+# Most graphs one sweep outcome, and so one --json task, carries: a pool
+# task returns its outcomes in one list.  --json lines are about 2.5 KB at
+# n = 6, and a 4,096-mask --json task took --jobs 2 to 52-60 MB peak RSS,
+# and under a 64 MB address-space limit hung the pool on a MemoryError.
 SWEEP_BLOCK = 256
 
 
@@ -559,7 +558,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         finish = partial(_render_entry, args.p_max, args.m_max, args.json)
         memo = _profile_memo(args.n, args.p_max, args.m_max, finish)
         nmasks = 1 << (args.n * (args.n - 1) // 2)
-        size = min(SWEEP_RANGE, max(1, nmasks >> 3))
+        size = min(SWEEP_BLOCK if args.json else SWEEP_RANGE, max(1, nmasks >> 3))
         ranges = (
             (args.n, lo, min(lo + size, nmasks), memo, args.p_max, args.m_max, args.json)
             for lo in range(0, nmasks, size)

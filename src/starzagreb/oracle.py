@@ -14,18 +14,19 @@ moment side, shared by every check and note.  sweep_reports yields the
 same reports for every labeled graph on n vertices, evaluating those
 identities once per distinct degree profile.  Since the star sequence
 and f determine each other, only the edge sum and the brute-force star
-counts read more of a graph than its profile.  So before the first mask, a
-Havel-Hakimi realization of each profile fills one memo, keyed on the
-profile, with those two values as integers and the realization's results,
-finished once in the form the caller keeps: sweep_reports keeps the
-results, the CLI their rendered text.  Per graph, the sweep keeps the
-neighbour bitmasks, degrees and edges up to date from one mask to the next
-and runs the two per-graph checks' cores on them, as integers: the edge
-sum over the fixed scale lcm(1..n-1), and the star counts as a sum of the
-neighbour masks' subset histograms, read from a table that each mask range
-fills by walking every possible neighbour mask's subsets once.  A graph
-whose integers differ from its profile's is built and evaluated on its own.
-Worker processes are sent the finished memo, each sweeping a range of masks.
+counts read more of a graph than its profile.  So one memo maps a graph's
+sweep key, its sorted degrees with those two values as integers, to its
+results, finished once in the form the caller keeps: sweep_reports keeps
+the results, the CLI their rendered text.  Before the first mask, a
+Havel-Hakimi realization of each profile fills it.  Per graph, the sweep
+keeps the neighbour bitmasks, degrees and edges up to date from one mask
+to the next and runs the two per-graph checks' cores on them, as
+integers: the edge sum over the fixed scale lcm(1..n-1), and the star
+counts as a sum of the neighbour masks' subset histograms, read from a
+table that each mask range fills by walking every possible neighbour
+mask's subsets once.  A key the memo lacks is evaluated on its graph and
+filled in.  Worker processes are sent the prefilled memo, each sweeping
+a range of masks.
 """
 
 from __future__ import annotations
@@ -509,21 +510,29 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
     return Graph(n, frozenset(edges))
 
 
-def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
-    """A sweep memo holding every degree profile on n vertices.
+def _evaluate_key(g: Graph, key: tuple, p_max: int, m_max: int) -> tuple:
+    """_profile_part of g on the two per-graph values in its sweep key: the
+    edge-sum numerator over lcm(1..n-1) and the packed star counts."""
+    n, (_, num, packed) = g.n, key
+    counts = _unpack_star_counts(packed, n, _star_field_width(n, n - 1))
+    return _profile_part(g, Fraction(num, math.lcm(*range(1, n))), counts, p_max, m_max)
 
-    Each non-increasing degree sequence that Havel-Hakimi realizes is one
-    profile, keyed on its sorted degrees.  The entry holds its realization's
-    two per-graph values as _mask_keys gives a mask's, then finish of that
-    graph's (theorems, errata), evaluated on those values.  Equal results
-    are kept once: every passing profile's graphs share one theorems tuple.
+
+def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
+    """A sweep memo prefilled with every degree profile on n vertices.
+
+    It maps a graph's sweep key, as _mask_keys gives a mask's, to finish of
+    that graph's (theorems, errata).  Each non-increasing degree sequence
+    that Havel-Hakimi realizes is one profile, filled in from its
+    realization.  Equal results are kept once: every passing profile's
+    graphs share one theorems tuple.
     """
     _check_limits(p_max, m_max)
     _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
     scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
     inverses = [0, *(scale // d for d in range(1, n))]
-    # sorted degrees -> (edge-sum numerator, packed counts, finish((theorems, errata)))
-    memo: dict[tuple[int, ...], tuple] = {}
+    histogram = partial(_subset_histogram, width=width)
+    memo: dict[tuple, object] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
@@ -531,14 +540,11 @@ def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) 
         g = _realize(n, degrees)
         if g is not None:
             num = _edge_sum_numerator(g.vertex_degrees, g.edges, inverses)
-            packed = _packed_star_counts(
-                _neighbour_masks(n, g.edges), partial(_subset_histogram, width=width)
-            )
-            theorems, errata = _profile_part(
-                g, Fraction(num, scale), _unpack_star_counts(packed, n, width), p_max, m_max
-            )
+            packed = _packed_star_counts(_neighbour_masks(n, g.edges), histogram)
+            key = (tuple(sorted(degrees)), num, packed)
+            theorems, errata = _evaluate_key(g, key, p_max, m_max)
             theorems = tuple(results.setdefault(r, r) for r in theorems)
-            memo[tuple(sorted(degrees))] = (num, packed, finish((theorems, errata)))
+            memo[key] = finish((theorems, errata))
     return memo
 
 
@@ -595,24 +601,17 @@ def _sweep_masks(
     in mask order; the entry is finish applied to the (theorems, errata)
     of the mask's report.
 
-    memo comes from _profile_memo with the same finish and is only read.  A
-    mask's sorted degrees pick its profile, and the mask shares the
-    profile's entry when the two integers _mask_keys gives it equal the
-    profile's.  Otherwise that graph is built and its own _profile_part,
-    run on its own values, is finished and kept for the rest of the range,
-    keyed on all three values; the memo's integers decide only what is
-    shared, never a verdict.
+    memo maps sweep keys to entries, as _profile_memo fills it with the
+    same finish.  A mask's key from _mask_keys fixes every input that
+    _profile_part reads, so the mask shares the entry of its key.  On a
+    miss, that graph is built, evaluated on its own key and finished, and
+    the entry is stored in memo for every later mask with that key.
     """
-    scale, own = math.lcm(*range(1, n)), {}
     for mask, key in _mask_keys(n, start, stop):
-        degrees, num, packed = key
-        profile_num, profile_packed, entry = memo[degrees]
-        if num != profile_num or packed != profile_packed:
-            if key not in own:
-                counts = _unpack_star_counts(packed, n, _star_field_width(n, n - 1))
-                g, edge_sum = labeled_graph_from_mask(n, mask), Fraction(num, scale)
-                own[key] = finish(_profile_part(g, edge_sum, counts, p_max, m_max))
-            entry = own[key]
+        entry = memo.get(key)
+        if entry is None:
+            g = labeled_graph_from_mask(n, mask)
+            entry = memo[key] = finish(_evaluate_key(g, key, p_max, m_max))
         yield mask, entry
 
 
@@ -628,9 +627,9 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     mask to mask: the star counts sum the neighbour masks' subset
     histograms, each walked once per sweep into a table of all 2^n masks.
     A graph whose two values equal its profile's shares the profile's
-    theorems tuple and builds no Graph; any other graph is evaluated on its
-    own.  itertools.islice reads part of a sweep; the masks it skips are
-    still swept.
+    theorems tuple and builds no Graph; any other graph is evaluated once
+    per distinct value of the two.  itertools.islice reads part of a sweep;
+    the masks it skips are still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
     for mask, entry in _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max):

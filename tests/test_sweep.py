@@ -129,22 +129,23 @@ def test_sweep_shares_per_graph_results_across_profiles():
         assert all(r.theorems[i] is reports[0].theorems[i] for r in reports), name
 
 
-def record_profile_parts(monkeypatch) -> list[tuple[int, ...]]:
-    """The sorted degrees of each graph _profile_part is called on, from now on."""
+def record_profile_parts(monkeypatch) -> list[tuple]:
+    """The inputs of each _profile_part call from now on: the graph's sorted
+    degrees, its edge sum and its star counts."""
     calls = []
     real = oracle._profile_part
 
-    def counting(g, *args):
-        calls.append(tuple(sorted(g.vertex_degrees)))
-        return real(g, *args)
+    def counting(g, edge_sum, counts, *args):
+        calls.append((tuple(sorted(g.vertex_degrees)), edge_sum, counts))
+        return real(g, edge_sum, counts, *args)
 
     monkeypatch.setattr(oracle, "_profile_part", counting)
     return calls
 
 
 def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
-    # The memo key holds nothing graph-specific beyond the two per-graph
-    # values, so a passing sweep evaluates each degree profile once.
+    # Every graph of a profile has its realization's sweep key, so a
+    # passing sweep evaluates each degree profile once.
     calls = record_profile_parts(monkeypatch)
     assert all(r.passed for r in sweep_reports(5))
     assert len(calls) == len(set(calls)) == 31
@@ -164,16 +165,17 @@ def public_values(g: Graph) -> tuple:
 
 
 def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
-    # One entry per graphical degree sequence (OEIS A004251), holding the
-    # per-graph values every labeled graph of that profile has, so a sweep
-    # of a correct library never takes the mismatch path.
+    # One entry per graphical degree sequence (OEIS A004251), keyed on the
+    # sweep key every labeled graph of that profile has, so a sweep of a
+    # correct library never misses.
     for n, profiles in zip(range(1, 8), (1, 2, 4, 11, 31, 102, 342)):
         assert len(oracle._profile_memo(n, 1, 0)) == profiles
     for n in range(1, 6):
-        graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
         memo = oracle._profile_memo(n, 1, 0)
-        assert set(memo) == {degrees for degrees, _, _ in graphs}
-        assert {sweep_values(n, key, *memo[key][:2]) for key in memo} == graphs
+        keys = {key for _, key in oracle._mask_keys(n, 0, 1 << (n * (n - 1) // 2))}
+        assert set(memo) == keys
+        graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
+        assert {sweep_values(n, *key) for key in memo} == graphs
     assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
     assert oracle._realize(4, (3, 3, 1, 1)) is None
     assert oracle._realize(3, (1, 1, 1)) is None
@@ -198,20 +200,19 @@ def test_sweep_subrange_and_validation():
 
 def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
     # The bitmasks kept up to date from mask to mask against a Graph per
-    # mask, and every mask's two integers against its profile's.
+    # mask, and every mask's key against the memo's key of its profile.
     memo = oracle._profile_memo(6, 1, 0)
     keys = list(oracle._mask_keys(6, 0, 1 << 15))
     assert [mask for mask, _ in keys] == list(range(1 << 15))
-    for mask, (degrees, num, packed) in keys:
-        assert sweep_values(6, degrees, num, packed) == public_values(
-            labeled_graph_from_mask(6, mask)
-        ), mask
-        assert memo[degrees][:2] == (num, packed), mask
+    for mask, key in keys:
+        assert sweep_values(6, *key) == public_values(labeled_graph_from_mask(6, mask)), mask
+        assert key in memo, mask
 
 
 @cache
 def memo7() -> dict:
     # Built once for every example; hypothesis would print it as an argument.
+    # Each example sweeps a copy, so no example's miss can fill it.
     return oracle._profile_memo(7, 8, 4)
 
 
@@ -227,8 +228,8 @@ def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
     assert [sweep_values(7, *key) for _, key in keys] == [
         public_values(labeled_graph_from_mask(7, mask)) for mask in range(start, stop)
     ]
-    assert all(memo7()[degrees][:2] == (num, packed) for _, (degrees, num, packed) in keys)
-    assert range_reports(7, start, stop, memo7()) == [
+    assert all(key in memo7() for _, key in keys)
+    assert range_reports(7, start, stop, dict(memo7())) == [
         verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
         for mask in range(start, stop)
     ]
@@ -563,17 +564,22 @@ def test_per_graph_fault_fails_exactly_that_graph(
     assert "failures=1 " in out
 
 
-def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypatch):
-    # An edge-sum fault of (sum of u*v over the edges mod 3) makes many
-    # graphs disagree with their profile, each evaluated and rendered on its
-    # own, so each must print its own residual, not its profile's or that
-    # of another mismatched graph met earlier in the range.
+def add_edge_sum_fault(monkeypatch) -> None:
+    """Make the edge-sum core add (sum of u*v over the edges mod 3), a
+    fault that depends on the graph, not only on its profile."""
     real = oracle._edge_sum_numerator
 
     def faulty(degrees, edges, inverses):
         return real(degrees, edges, inverses) + sum(u * v for u, v in edges) % 3 * inverses[1]
 
     monkeypatch.setattr(oracle, "_edge_sum_numerator", faulty)
+
+
+def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypatch):
+    # The edge-sum fault makes many graphs miss the memo, each evaluated
+    # and rendered on its own key, so each must print its own residual,
+    # not its profile's or that of another graph that missed earlier.
+    add_edge_sum_fault(monkeypatch)
     pairs = list(combinations(range(6), 2))
     expected = [
         sum(u * v for i, (u, v) in enumerate(pairs) if mask >> i & 1) % 3 for mask in range(1 << 15)
@@ -601,6 +607,18 @@ def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypat
     for rec, residual in zip(records, expected):
         assert rec["theorems"]["inverse_degree_sum"]["residuals"]["edge_sum"] == str(residual)
         assert rec["passed"] == (residual == 0), rec["identifier"]
+
+
+def test_graph_dependent_fault_evaluates_each_key_once(capsys, monkeypatch):
+    # A miss fills the one memo, so in process no _profile_part input is
+    # evaluated twice, however many ranges its graphs fall in: 102 profiles
+    # and 194 keys the edge-sum fault adds.
+    add_edge_sum_fault(monkeypatch)
+    calls = record_profile_parts(monkeypatch)
+    rc, out = sweep_stdout(capsys, 6, "--p-max", "1", "--m-max", "0")
+    assert rc == 1
+    assert "summary: graphs=32768 " in out
+    assert len(calls) == len(set(calls)) == 296
 
 
 class RecordingPool:
@@ -709,6 +727,34 @@ def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][bool(extra)]
         assert RecordingPool.sizes == pools
         assert len(calls) == len({id(r.theorems) for r in calls}) == 31, jobs
+
+
+@pytest.mark.parametrize(
+    "extra, digest, graphs",
+    [
+        ((), "0a49cc2839aeff511030c6daa361e77b349797a45fb8eaa55dc01462363501a0", cli.SWEEP_RANGE),
+        (("--json",), "84926df74274ed6bee1821ee44b0f4488db43f57653db654c96631e4501606e8", cli.SWEEP_BLOCK),
+    ],
+    ids=["text", "json"],
+)
+def test_pool_results_hold_one_range(capsys, monkeypatch, extra, digest, graphs):
+    # A pool task sends its outcomes back as one pickled list, so a --json
+    # task covers one block of lines; text keeps its longer ranges.
+    sizes = []
+    real = cli._listed
+
+    def recording(fn, task):
+        result = real(fn, task)
+        sizes.append(sum(outcome[2] for outcome in result))
+        return result
+
+    monkeypatch.setattr(cli, "_listed", recording)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    rc, out = sweep_stdout(capsys, 6, "--jobs", "2", *extra)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert sizes == [graphs] * ((1 << 15) // graphs)
 
 
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
