@@ -438,16 +438,20 @@ def _render_entry(p_max: int, m_max: int, as_json: bool, result: tuple) -> tuple
     return (render(report), *_report_tallies(report))
 
 
-def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[_Outcome]:
-    """Outcomes for the masks start..stop-1, one per SWEEP_BLOCK masks:
-    their lines joined and their tallies summed.  The memo's entries are
-    finished by _render_entry, those a miss adds too, since the reports of
-    one entry differ only in identifier, n and m: those alone are
-    formatted per mask."""
+def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[tuple]:
+    """The memo entries of masks start..stop-1, finished by _render_entry;
+    pickle writes a recurring entry once, so a pool sends no line per mask."""
     n, start, stop, memo, p_max, m_max, as_json = task
-    line = _report_json_line if as_json else _report_line
     finish = partial(_render_entry, p_max, m_max, as_json)
-    masks = _sweep_masks(n, start, stop, memo, p_max, m_max, finish)
+    return _sweep_masks(n, start, stop, memo, p_max, m_max, finish)
+
+
+def _sweep_outcomes(n: int, as_json: bool, entries: Iterator[tuple]) -> Iterator[_Outcome]:
+    """Outcomes for the memo entries of masks 0, 1, 2, ... on n vertices, one
+    per SWEEP_BLOCK masks.  One entry's reports differ only in identifier,
+    n and m, so those alone are formatted per mask."""
+    line = _report_json_line if as_json else _report_line
+    masks = enumerate(entries)
     for block in iter(lambda: list(islice(masks, SWEEP_BLOCK)), []):
         text = "\n".join(line(f"n={n}:mask={mask}", n, mask.bit_count(), e[0]) for mask, e in block)
         tallies = (sum(column) for column in zip(*(e[1:] for _, e in block)))
@@ -530,13 +534,10 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
             yield from pending.popleft().get()
 
 
-# Largest mask range of one exhaustive-sweep text task.  Each task is sent
-# the memo prefilled and rendered here, so a range repeats no profile work.
+# Largest mask range of one exhaustive-sweep task.  Each task is sent the
+# memo prefilled and rendered here, so a range repeats no profile work.
 SWEEP_RANGE = 1 << 12
-# Most graphs one sweep outcome, and so one --json task, carries: a pool
-# task returns its outcomes in one list.  --json lines are about 2.5 KB at
-# n = 6, and a 4,096-mask --json task took --jobs 2 to 52-60 MB peak RSS,
-# and under a 64 MB address-space limit hung the pool on a MemoryError.
+# Most graphs one sweep outcome carries.
 SWEEP_BLOCK = 256
 
 
@@ -558,12 +559,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         finish = partial(_render_entry, args.p_max, args.m_max, args.json)
         memo = _profile_memo(args.n, args.p_max, args.m_max, finish)
         nmasks = 1 << (args.n * (args.n - 1) // 2)
-        size = min(SWEEP_BLOCK if args.json else SWEEP_RANGE, max(1, nmasks >> 3))
+        size = min(SWEEP_RANGE, max(1, nmasks >> 3))
         ranges = (
             (args.n, lo, min(lo + size, nmasks), memo, args.p_max, args.m_max, args.json)
             for lo in range(0, nmasks, size)
         )
-        outcomes = _map_tasks(_verify_mask_range, ranges, args.jobs)
+        outcomes = _sweep_outcomes(args.n, args.json, _map_tasks(_verify_mask_range, ranges, args.jobs))
     else:
         if args.n is not None:
             return _usage_error("--n only applies with --exhaustive")

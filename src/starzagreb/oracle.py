@@ -596,10 +596,9 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
 
 def _sweep_masks(
     n: int, start: int, stop: int, memo: dict, p_max: int, m_max: int, finish=lambda result: result
-) -> Iterator[tuple[int, object]]:
-    """(mask, memo entry) for the labeled graphs with masks start..stop-1,
-    in mask order; the entry is finish applied to the (theorems, errata)
-    of the mask's report.
+) -> Iterator[object]:
+    """The memo entries of the labeled graphs with masks start..stop-1, in
+    mask order: finish applied to the (theorems, errata) of each report.
 
     memo maps sweep keys to entries, as _profile_memo fills it with the
     same finish.  A mask's key from _mask_keys fixes every input that
@@ -612,7 +611,7 @@ def _sweep_masks(
         if entry is None:
             g = labeled_graph_from_mask(n, mask)
             entry = memo[key] = finish(_evaluate_key(g, key, p_max, m_max))
-        yield mask, entry
+        yield entry
 
 
 def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[TheoremReport]:
@@ -626,11 +625,11 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     star counts run, as integers on neighbour bitmasks kept up to date from
     mask to mask: the star counts sum the neighbour masks' subset
     histograms, each walked once per sweep into a table of all 2^n masks.
-    A graph whose two values equal its profile's shares the profile's
-    theorems tuple and builds no Graph; any other graph is evaluated once
-    per distinct value of the two.  itertools.islice reads part of a sweep;
+    A graph whose sweep key is in the memo shares its entry and builds no
+    Graph; a new key is evaluated once, on its first graph, and stored for
+    the rest of the sweep.  itertools.islice reads part of a sweep;
     the masks it skips are still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
-    for mask, entry in _sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max):
+    for mask, entry in enumerate(_sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max)):
         yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

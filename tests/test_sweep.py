@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -61,7 +62,7 @@ def range_reports(n: int, start: int, stop: int, memo: dict) -> list[TheoremRepo
     """The reports of a pool task's mask range, swept against memo."""
     return [
         TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), 8, 4, *entry)
-        for mask, entry in oracle._sweep_masks(n, start, stop, memo, 8, 4)
+        for mask, entry in enumerate(oracle._sweep_masks(n, start, stop, memo, 8, 4), start)
     ]
 
 
@@ -148,7 +149,7 @@ def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
     # passing sweep evaluates each degree profile once.
     calls = record_profile_parts(monkeypatch)
     assert all(r.passed for r in sweep_reports(5))
-    assert len(calls) == len(set(calls)) == 31
+    assert len(calls) == len(set(calls)) == len({c[0] for c in calls}) == 31
 
 
 def sweep_values(n: int, degrees: tuple[int, ...], num: int, packed: int) -> tuple:
@@ -248,7 +249,7 @@ def test_passing_sweep_builds_no_graph(monkeypatch):
     monkeypatch.setattr(Graph, "__post_init__", counting)
     entries = list(oracle._sweep_masks(5, 0, 1 << 10, memo, 8, 4))
     assert len(entries) == 1024
-    assert all(r.passed for _, (theorems, _) in entries for r in theorems)
+    assert all(r.passed for theorems, _ in entries for r in theorems)
     assert built == []
     labeled_graph_from_mask(5, 3)
     assert len(built) == 1
@@ -698,7 +699,7 @@ def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatc
     rc, out = sweep_stdout(capsys, 5, "--jobs", "2")
     assert rc == 0
     assert "summary: graphs=1024 " in out
-    assert len(calls) == len(set(calls)) == 31
+    assert len(calls) == len(set(calls)) == len({c[0] for c in calls}) == 31
     assert RecordingPool.sizes == [2]
 
 
@@ -730,22 +731,24 @@ def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
 
 
 @pytest.mark.parametrize(
-    "extra, digest, graphs",
+    "extra, digest",
     [
-        ((), "0a49cc2839aeff511030c6daa361e77b349797a45fb8eaa55dc01462363501a0", cli.SWEEP_RANGE),
-        (("--json",), "84926df74274ed6bee1821ee44b0f4488db43f57653db654c96631e4501606e8", cli.SWEEP_BLOCK),
+        ((), "0a49cc2839aeff511030c6daa361e77b349797a45fb8eaa55dc01462363501a0"),
+        (("--json",), "84926df74274ed6bee1821ee44b0f4488db43f57653db654c96631e4501606e8"),
     ],
     ids=["text", "json"],
 )
-def test_pool_results_hold_one_range(capsys, monkeypatch, extra, digest, graphs):
-    # A pool task sends its outcomes back as one pickled list, so a --json
-    # task covers one block of lines; text keeps its longer ranges.
-    sizes = []
+def test_pool_results_pickle_each_entry_once(capsys, monkeypatch, extra, digest):
+    # A pool task sends its range back as one pickled list of memo entries,
+    # and pickle writes a recurring entry once, so a result is its distinct
+    # entries plus a few bytes per mask.  A 4,096-mask range of rendered
+    # --json lines pickled to about 10 MB.
+    results = []
     real = cli._listed
 
     def recording(fn, task):
         result = real(fn, task)
-        sizes.append(sum(outcome[2] for outcome in result))
+        results.append((result, task[3]))
         return result
 
     monkeypatch.setattr(cli, "_listed", recording)
@@ -754,7 +757,10 @@ def test_pool_results_hold_one_range(capsys, monkeypatch, extra, digest, graphs)
     rc, out = sweep_stdout(capsys, 6, "--jobs", "2", *extra)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert sizes == [graphs] * ((1 << 15) // graphs)
+    assert [len(result) for result, _ in results] == [cli.SWEEP_RANGE] * 8
+    for result, memo in results:
+        assert len(pickle.dumps(result)) < len(pickle.dumps(memo)) + 16 * len(result)
+        assert {id(e) for e in result} <= {id(e) for e in memo.values()}
 
 
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
