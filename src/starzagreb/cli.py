@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from collections import deque
+from contextlib import suppress
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -346,23 +347,28 @@ def _print_outcomes(outcomes: Iterable[_Outcome], as_json: bool, summary=None) -
     An error goes to stderr, and with --json also to stdout as an error
     record.  summary, if given, is called with as_json and the tallies after
     the last outcome.  The exit code is 1 if any check failed or any routes
-    disagreed, else 2 if any input was refused or unreadable, else 0."""
+    disagreed, else 2 if any input was refused or unreadable, else 0.  A
+    failed worker pool ends the output with an error line, no summary."""
     graphs = checks = failures = errata_hits = 0
     had_error = False
-    for kind, *data in outcomes:
-        if kind == "error":
-            ident, message = data
-            had_error = True
-            if as_json:
-                print(json.dumps(error_record(ident, message)))
-            print(f"error: {ident}: {message}", file=sys.stderr)
-            continue
-        text, run_graphs, run_checks, run_failures, run_errata = data
-        graphs += run_graphs
-        checks += run_checks
-        failures += run_failures
-        errata_hits += run_errata
-        print(text)
+    try:
+        for kind, *data in outcomes:
+            if kind == "error":
+                ident, message = data
+                had_error = True
+                if as_json:
+                    print(json.dumps(error_record(ident, message)))
+                print(f"error: {ident}: {message}", file=sys.stderr)
+                continue
+            text, run_graphs, run_checks, run_failures, run_errata = data
+            graphs += run_graphs
+            checks += run_checks
+            failures += run_failures
+            errata_hits += run_errata
+            print(text)
+    except ChildProcessError as exc:
+        print(f"error: {str(exc).rstrip('.')}; --jobs 1 runs without a pool", file=sys.stderr)
+        return 1 if failures else 2
     if summary:
         summary(as_json, graphs, checks, failures, errata_hits, had_error)
     return 1 if failures else 2 if had_error else 0
@@ -508,10 +514,11 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
     """The results fn yields for each task, flattened in task order.
 
     Only as many tasks as there are workers are read ahead.  When that is
-    two or more, the tasks run across a spawn pool of that many processes
-    with at most two tasks per worker pending, so neither the tasks nor
-    finished results pile up behind a slow consumer; otherwise they run
-    here, one at a time."""
+    two or more, the tasks run across a spawn process pool of that many
+    workers with at most two tasks per worker pending, so neither the tasks
+    nor finished results pile up behind a slow consumer; otherwise they run
+    here, one at a time.  A pool that cannot start a worker or a thread, or
+    loses one, raises ChildProcessError instead of waiting for it."""
     tasks = iter(tasks)
     head = list(islice(tasks, _workers(jobs)))
     if len(head) < 2:
@@ -522,16 +529,40 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
     # import.  Spawned workers import the package afresh, so the digit
     # limit is lifted again in each of them.
     import multiprocessing
+    import threading
+    from concurrent.futures import BrokenExecutor, InvalidStateError, ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(len(head), initializer=_lift_digit_limit) as pool:
-        pending: deque = deque()
+    pool = ProcessPoolExecutor(len(head), multiprocessing.get_context("spawn"), _lift_digit_limit)
+    pending, died, hook = deque(), [], threading.excepthook
+
+    def thread_died(args):
+        # Before Python 3.12 a dead pool thread leaves the pending tasks waiting.
+        died.append(BrokenExecutor(f"a pool thread died: {args.exc_value}"))
+        for future in list(pending):
+            with suppress(InvalidStateError):
+                future.set_exception(died[0])
+
+    threading.excepthook = thread_died
+    try:
         for task in chain(head, tasks):
-            pending.append(pool.apply_async(_listed, (fn, task)))
+            try:
+                pending.append(pool.submit(_listed, fn, task))
+            except (OSError, RuntimeError) as exc:
+                raise BrokenExecutor(exc) from exc
+            if died:
+                raise died[0]
             if len(pending) > 2 * len(head):
-                yield from pending.popleft().get()
+                yield from pending.popleft().result()
         while pending:
-            yield from pending.popleft().get()
+            yield from pending.popleft().result()
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"the worker pool failed: {exc}") from exc
+    finally:
+        threading.excepthook = hook
+        pool.shutdown(wait=False, cancel_futures=True)
+        # Workers still running, or never told to stop, would block the exit.
+        for process in multiprocessing.active_children():
+            process.terminate()
 
 
 # Largest mask range of one exhaustive-sweep task.  Each task is sent the

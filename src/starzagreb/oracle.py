@@ -15,18 +15,14 @@ same reports for every labeled graph on n vertices, evaluating those
 identities once per distinct degree profile.  Since the star sequence
 and f determine each other, only the edge sum and the brute-force star
 counts read more of a graph than its profile.  So one memo maps a graph's
-sweep key, its sorted degrees with those two values as integers, to its
-results, finished once in the form the caller keeps: sweep_reports keeps
-the results, the CLI their rendered text.  Before the first mask, a
-Havel-Hakimi realization of each profile fills it.  Per graph, the sweep
-keeps the neighbour bitmasks, degrees and edges up to date from one mask
-to the next and runs the two per-graph checks' cores on them, as
-integers: the edge sum over the fixed scale lcm(1..n-1), and the star
-counts as a sum of the neighbour masks' subset histograms, read from a
-table that each mask range fills by walking every possible neighbour
-mask's subsets once.  A key the memo lacks is evaluated on its graph and
-filled in.  Worker processes are sent the prefilled memo, each sweeping
-a range of masks.
+sweep key, one integer packing its frequency vector and those two values,
+to its results, finished once in the form the caller keeps:
+sweep_reports keeps the results, the CLI their rendered text.  Before the
+first mask, a Havel-Hakimi realization of each profile fills it.  Every
+key part is additive over vertex 0's neighbours, so each block of masks
+that differ only there takes one addition per key.  A key the memo lacks
+is evaluated on its graph and, up to a cap, filled in.  Worker processes
+are sent the prefilled memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
@@ -35,7 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, combinations_with_replacement, islice
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows
@@ -85,6 +82,8 @@ MAX_BRUTEFORCE_N = 20
 # vertices the exponents past n - 1 test nothing new (Vandermonde on the
 # degrees), and this is at least max(8, 2n) for every n verify accepts.
 MAX_VERIFY_EXPONENT = 2 * MAX_BRUTEFORCE_N
+# The most entries a sweep memo holds: 342 profiles at n = 7, plus misses.
+SWEEP_MEMO_CAP = 1 << 12
 
 
 def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
@@ -510,12 +509,22 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
     return Graph(n, frozenset(edges))
 
 
-def _evaluate_key(g: Graph, key: tuple, p_max: int, m_max: int) -> tuple:
-    """_profile_part of g on the two per-graph values in its sweep key: the
-    edge-sum numerator over lcm(1..n-1) and the packed star counts."""
-    n, (_, num, packed) = g.n, key
-    counts = _unpack_star_counts(packed, n, _star_field_width(n, n - 1))
-    return _profile_part(g, Fraction(num, math.lcm(*range(1, n))), counts, p_max, m_max)
+def _key_layout(n: int) -> tuple[int, int, int, int]:
+    """(fw, A, B, L): a sweep key on n vertices is the integer F | E << A | C << B.
+
+    F, the sum of 1 << fw*deg(v) over v, is the frequency vector: unlike
+    the sorted degrees it fixes, it is additive.  E is the edge-sum
+    numerator over L = lcm(1..n-1), at most n*L, and C the packed counts.
+    """
+    fw, scale = n.bit_length(), math.lcm(*range(1, n))
+    return fw, fw * n, fw * n + (n * scale).bit_length(), scale
+
+
+def _evaluate_key(g: Graph, key: int, p_max: int, m_max: int) -> tuple:
+    """_profile_part of g on the two per-graph values in its sweep key."""
+    _, a, b, scale = _key_layout(g.n)
+    counts = _unpack_star_counts(key >> b, g.n, _star_field_width(g.n, g.n - 1))
+    return _profile_part(g, Fraction(key >> a & (1 << b - a) - 1, scale), counts, p_max, m_max)
 
 
 def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
@@ -523,16 +532,16 @@ def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) 
 
     It maps a graph's sweep key, as _mask_keys gives a mask's, to finish of
     that graph's (theorems, errata).  Each non-increasing degree sequence
-    that Havel-Hakimi realizes is one profile, filled in from its
-    realization.  Equal results are kept once: every passing profile's
-    graphs share one theorems tuple.
+    that Havel-Hakimi realizes is one profile, keyed by the two per-graph
+    checks' cores on its realization.  Equal results are kept once: every
+    passing profile's graphs share one theorems tuple.
     """
     _check_limits(p_max, m_max)
     _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
-    scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
+    fw, a, b, scale = _key_layout(n)
     inverses = [0, *(scale // d for d in range(1, n))]
-    histogram = partial(_subset_histogram, width=width)
-    memo: dict[tuple, object] = {}
+    histogram = partial(_subset_histogram, width=_star_field_width(n, n - 1))
+    memo: dict[int, object] = {}
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
@@ -541,57 +550,54 @@ def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) 
         if g is not None:
             num = _edge_sum_numerator(g.vertex_degrees, g.edges, inverses)
             packed = _packed_star_counts(_neighbour_masks(n, g.edges), histogram)
-            key = (tuple(sorted(degrees)), num, packed)
+            key = sum(1 << fw * d for d in degrees) | num << a | packed << b
             theorems, errata = _evaluate_key(g, key, p_max, m_max)
             theorems = tuple(results.setdefault(r, r) for r in theorems)
             memo[key] = finish((theorems, errata))
     return memo
 
 
-def _mask_keys(n: int, start: int, stop: int) -> Iterator[tuple[int, tuple]]:
-    """(mask, (sorted degrees, edge-sum numerator, packed star counts)) for
-    the labeled graphs with masks start..stop-1.
+def _mask_keys(n: int, start: int, stop: int) -> Iterator[int]:
+    """The sweep keys of the labeled graphs with masks start..stop-1, in order.
 
-    The two per-graph values are computed without a Graph and without a
-    Fraction, by the cores of the two per-graph checks: the edge sum by
-    _edge_sum_numerator over the fixed scale L = lcm(1..n-1), and the raw
-    star counts by _packed_star_counts, reading each neighbour mask's
-    subset histogram from a table.  The table is built here, once per
-    range, by walking the subsets of every one of the 2^n possible
-    neighbour masks once: 3^n subset visits, 2,187 at n = 7.  The
-    neighbour bitmasks, the degrees and the edges, in bit order, are kept
-    up to date from one mask to the next.  mask + 1 clears the trailing run
-    of set bits of mask and sets the bit above it, so about two pairs
-    toggle per step.
+    A mask's low n - 1 bits, the pairs (0, 1) .. (0, n - 1), are vertex
+    0's neighbours S; its high bits are a graph H on 1..n-1.  The 2^(n-1)
+    masks of one H form a block, computed whole and sliced to the range.
+    Each key part is additive over S, so a block spreads H's key P[0] by
+    P[S] = P[S - h] + delta[h], h the highest bit of S.  v's delta moves v
+    up one field of F, adds to E the change of v's end of each of its edges
+    in H plus v's end of (0, v), and adds to C the change from hist[nbr_v]
+    to hist[nbr_v | 1].  Vertex 0's part, fixed by S, is its F bit at |S|,
+    hist[S << 1], and the 0-ends of its |S| edges.  E sums one term per
+    edge end, never a degree times its own inverse: that is L for every
+    degree, so the edge-sum check would compare n - f_0 with itself.
     """
     pairs = _vertex_pairs(n)
-    scale, width = math.lcm(*range(1, n)), _star_field_width(n, n - 1)
-    inverses = [0, *(scale // d for d in range(1, n))]
-    histograms = [_subset_histogram(nbr, width) for nbr in range(1 << n)]
-    edges = [pair for i, pair in enumerate(pairs) if start >> i & 1]
-    nbrs = _neighbour_masks(n, edges)
-    degrees = [nbr.bit_count() for nbr in nbrs]
-    for mask in range(start, stop):
-        if mask > start:
-            # mask - 1 ends in t set bits, its first t edges: clear them,
-            # then set bit t.
-            t = (mask & -mask).bit_length() - 1
-            for u, v in edges[:t]:
-                nbrs[u] ^= 1 << v
-                nbrs[v] ^= 1 << u
-                degrees[u] -= 1
-                degrees[v] -= 1
-            u, v = pairs[t]
-            nbrs[u] ^= 1 << v
-            nbrs[v] ^= 1 << u
-            degrees[u] += 1
-            degrees[v] += 1
-            edges[:t] = (pairs[t],)
-        yield mask, (
-            tuple(sorted(degrees)),
-            _edge_sum_numerator(degrees, edges, inverses),
-            _packed_star_counts(nbrs, histograms.__getitem__),
-        )
+    fw, a, b, scale = _key_layout(n)
+    inv = [0, *(scale // d for d in range(1, n))]
+    # Every neighbour mask's subset histogram, once per range: 3^n visits.
+    hist = [_subset_histogram(nbr, _star_field_width(n, n - 1)) for nbr in range(1 << n)]
+    low = n - 1
+    vertex0 = [
+        1 << fw * s.bit_count() | hist[s << 1] << b
+        | sum(inv[s.bit_count()] for v in range(low) if s >> v & 1) << a
+        for s in range(1 << low)
+    ]
+    for high in range(start >> low, -(-stop >> low)):
+        edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
+        nbr = _neighbour_masks(n, edges)
+        deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
+        for v in chain.from_iterable(edges):
+            num += inv[deg[v]]
+            turn[v] += inv[deg[v] + 1] - inv[deg[v]]
+        keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
+        for v in range(1, n):
+            d, m = deg[v], nbr[v]
+            delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
+            delta += hist[m | 1] - hist[m] << b
+            keys += [key + delta for key in keys]
+        lo = max(start - (high << low), 0)
+        yield from map(add, keys[lo : stop - (high << low)], vertex0[lo:])
 
 
 def _sweep_masks(
@@ -604,13 +610,17 @@ def _sweep_masks(
     same finish.  A mask's key from _mask_keys fixes every input that
     _profile_part reads, so the mask shares the entry of its key.  On a
     miss, that graph is built, evaluated on its own key and finished, and
-    the entry is stored in memo for every later mask with that key.
+    stored while memo holds fewer than SWEEP_MEMO_CAP entries.  Past the
+    cap, which only a faulty library reaches, each missing mask costs its
+    own evaluation, about 1 ms at n = 7, or 35 minutes if all 2^21 masks
+    miss: memory stays bounded and time grows instead.
     """
-    for mask, key in _mask_keys(n, start, stop):
+    for mask, key in enumerate(_mask_keys(n, start, stop), start):
         entry = memo.get(key)
         if entry is None:
-            g = labeled_graph_from_mask(n, mask)
-            entry = memo[key] = finish(_evaluate_key(g, key, p_max, m_max))
+            entry = finish(_evaluate_key(labeled_graph_from_mask(n, mask), key, p_max, m_max))
+            if len(memo) < SWEEP_MEMO_CAP:
+                memo[key] = entry
         yield entry
 
 
@@ -621,14 +631,13 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
     the same information as f) run once per profile, on a realization of it,
-    before the first mask.  Per graph, only the edge sum and the brute-force
-    star counts run, as integers on neighbour bitmasks kept up to date from
-    mask to mask: the star counts sum the neighbour masks' subset
-    histograms, each walked once per sweep into a table of all 2^n masks.
-    A graph whose sweep key is in the memo shares its entry and builds no
-    Graph; a new key is evaluated once, on its first graph, and stored for
-    the rest of the sweep.  itertools.islice reads part of a sweep;
-    the masks it skips are still swept.
+    before the first mask.  Per graph, only the sweep key is computed: one
+    addition per mask within a block of 2^(n-1) masks, with the star counts
+    read from a table of all 2^n neighbour masks' subset histograms.  A
+    graph whose sweep key is in the memo shares its entry and builds no
+    Graph; a new key is evaluated on its first graph and stored, up to
+    SWEEP_MEMO_CAP entries.  itertools.islice reads part of a sweep; the
+    masks it skips are still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
     for mask, entry in enumerate(_sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max)):

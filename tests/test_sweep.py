@@ -3,21 +3,23 @@ per-graph check still run on every graph, and output bytes unchanged."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -152,12 +154,15 @@ def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
     assert len(calls) == len(set(calls)) == len({c[0] for c in calls}) == 31
 
 
-def sweep_values(n: int, degrees: tuple[int, ...], num: int, packed: int) -> tuple:
-    """Sorted degrees, edge sum and star counts from the sweep's integers:
-    the edge-sum numerator over lcm(1..n-1) and the packed raw star counts."""
-    width = oracle._star_field_width(n, n - 1)
-    edge_sum = Fraction(num, math.lcm(*range(1, n)))
-    return degrees, edge_sum, oracle._unpack_star_counts(packed, n, width)
+def sweep_values(n: int, key: int) -> tuple:
+    """Sorted degrees, edge sum and star counts decoded from a sweep key
+    F | E << A | C << B: F counts the vertices of each degree, E is the
+    edge-sum numerator over L = lcm(1..n-1) and C the packed raw star counts."""
+    fw, a, b, scale = oracle._key_layout(n)
+    assert (fw, scale) == (n.bit_length(), math.lcm(*range(1, n)))
+    degrees = tuple(d for d in range(n) for _ in range(key >> fw * d & (1 << fw) - 1))
+    counts = oracle._unpack_star_counts(key >> b, n, oracle._star_field_width(n, n - 1))
+    return degrees, Fraction(key >> a & (1 << b - a) - 1, scale), counts
 
 
 def public_values(g: Graph) -> tuple:
@@ -173,10 +178,10 @@ def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
         assert len(oracle._profile_memo(n, 1, 0)) == profiles
     for n in range(1, 6):
         memo = oracle._profile_memo(n, 1, 0)
-        keys = {key for _, key in oracle._mask_keys(n, 0, 1 << (n * (n - 1) // 2))}
+        keys = set(oracle._mask_keys(n, 0, 1 << (n * (n - 1) // 2)))
         assert set(memo) == keys
         graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
-        assert {sweep_values(n, *key) for key in memo} == graphs
+        assert {sweep_values(n, key) for key in memo} == graphs
     assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
     assert oracle._realize(4, (3, 3, 1, 1)) is None
     assert oracle._realize(3, (1, 1, 1)) is None
@@ -200,14 +205,16 @@ def test_sweep_subrange_and_validation():
 
 
 def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
-    # The bitmasks kept up to date from mask to mask against a Graph per
-    # mask, and every mask's key against the memo's key of its profile.
-    memo = oracle._profile_memo(6, 1, 0)
-    keys = list(oracle._mask_keys(6, 0, 1 << 15))
-    assert [mask for mask, _ in keys] == list(range(1 << 15))
-    for mask, key in keys:
-        assert sweep_values(6, *key) == public_values(labeled_graph_from_mask(6, mask)), mask
-        assert key in memo, mask
+    # Each block's recurrence against the public checks on a Graph per
+    # mask, at every mask for n <= 6, and every mask's key against the
+    # memo's key of its profile.
+    for n in range(1, 7):
+        memo = oracle._profile_memo(n, 1, 0)
+        keys = list(oracle._mask_keys(n, 0, 1 << n * (n - 1) // 2))
+        assert len(keys) == 1 << n * (n - 1) // 2
+        for mask, key in enumerate(keys):
+            assert sweep_values(n, key) == public_values(labeled_graph_from_mask(n, mask)), (n, mask)
+            assert key in memo, (n, mask)
 
 
 @cache
@@ -222,14 +229,17 @@ def memo7() -> dict:
 @example(start=0, length=32)
 @example(start=(1 << 21) - 24, length=32)
 @example(start=(1 << 20) - 1, length=3)
+@example(start=(5 << 6) + 40, length=32)
+@example(start=(9 << 6) + 3, length=5)
 def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
-    # A pool task's range starts its bitmasks from any mask, not only 0.
+    # A pool task's range may start and stop mid-block, at any mask; a
+    # block is the 64 masks that differ only in vertex 0's neighbours.
     stop = min(start + length, 1 << 21)
     keys = list(oracle._mask_keys(7, start, stop))
-    assert [sweep_values(7, *key) for _, key in keys] == [
+    assert [sweep_values(7, key) for key in keys] == [
         public_values(labeled_graph_from_mask(7, mask)) for mask in range(start, stop)
     ]
-    assert all(key in memo7() for _, key in keys)
+    assert all(key in memo7() for key in keys)
     assert range_reports(7, start, stop, dict(memo7())) == [
         verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
         for mask in range(start, stop)
@@ -493,39 +503,34 @@ def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
 
 
 # Each per-graph check, named after its public function, and a way to put
-# its value off by one.  The sweep calls the check's core directly, so the
-# fault goes into the core, on the core's packed or scaled integer: the raw
-# k = 1 field counts each edge from both ends, and the sweep's edge sum is
-# taken over L = lcm(1, 2, 3) at n = 4.
+# its value off by one in a sweep key F | E << A | C << B (_key_layout): the
+# raw k = 1 field of the star counts C counts each edge from both ends, and
+# the edge-sum numerator E is taken over L = lcm(1, 2, 3) at n = 4.
 PER_GRAPH_FAULTS = [
     (
         "star_counts_bruteforce",
         "star_bruteforce",
         "k=1",
-        lambda c: c + (2 << oracle._star_field_width(4, 3)),
+        lambda key: key + (2 << oracle._key_layout(4)[2] + oracle._star_field_width(4, 3)),
     ),
-    ("inverse_degree_edge_sum", "inverse_degree_sum", "edge_sum", lambda x: x + math.lcm(1, 2, 3)),
+    (
+        "inverse_degree_edge_sum",
+        "inverse_degree_sum",
+        "edge_sum",
+        lambda key: key + (math.lcm(1, 2, 3) << oracle._key_layout(4)[1]),
+    ),
 ]
 
 
-def edges_from_neighbour_masks(nbrs) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (u, v) for u, mask in enumerate(nbrs) for v in range(u + 1, len(nbrs)) if mask >> v & 1
-    )
+def fault_mask_keys(monkeypatch, fault) -> None:
+    """Make the sweep's block core yield fault(mask, key) for each mask's key."""
+    real = oracle._mask_keys
 
+    def faulty(n, start, stop):
+        for mask, key in enumerate(real(n, start, stop), start):
+            yield fault(mask, key)
 
-# The core each check's fault goes into, and the edge set that core is
-# called on, read off its arguments.
-CORES = {
-    "star_counts_bruteforce": (
-        "_packed_star_counts",
-        lambda nbrs, histogram: edges_from_neighbour_masks(nbrs),
-    ),
-    "inverse_degree_edge_sum": (
-        "_edge_sum_numerator",
-        lambda degrees, edges, inverses: frozenset(edges),
-    ),
-}
+    monkeypatch.setattr(oracle, "_mask_keys", faulty)
 
 
 # Masks 11 and 56 are the first and the last of the four labeled graphs
@@ -543,19 +548,13 @@ CORES = {
 def test_per_graph_fault_fails_exactly_that_graph(
     capsys, monkeypatch, name, theorem, label, bump, mask
 ):
-    # The three other labeled graphs of the profile must still pass.
+    # The fault goes into exactly the target mask's key, so the three other
+    # labeled graphs of the profile must still pass.
     target = labeled_graph_from_mask(4, mask)
     profile = masks_with_profile(4, frequency_sequence(target).counts)
     assert len(profile) == 4
     assert mask in (min(profile), max(profile))
-    core, core_edges = CORES[name]
-    real = getattr(oracle, core)
-
-    def faulty(*args):
-        result = real(*args)
-        return bump(result) if core_edges(*args) == target.edges else result
-
-    monkeypatch.setattr(oracle, core, faulty)
+    fault_mask_keys(monkeypatch, lambda m, key: bump(key) if m == mask else key)
     rc, out = sweep_stdout(capsys, 4)
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert rc == 1
@@ -566,14 +565,22 @@ def test_per_graph_fault_fails_exactly_that_graph(
 
 
 def add_edge_sum_fault(monkeypatch) -> None:
-    """Make the edge-sum core add (sum of u*v over the edges mod 3), a
-    fault that depends on the graph, not only on its profile."""
+    """Make the edge sum add (sum of u*v over the edges mod 3), a fault
+    that depends on the graph, not only on its profile: both in the core
+    that keys the memo's realizations and in each n = 6 mask's sweep key."""
     real = oracle._edge_sum_numerator
 
     def faulty(degrees, edges, inverses):
         return real(degrees, edges, inverses) + sum(u * v for u, v in edges) % 3 * inverses[1]
 
     monkeypatch.setattr(oracle, "_edge_sum_numerator", faulty)
+    pairs = list(combinations(range(6), 2))
+    _, a, _, scale = oracle._key_layout(6)
+
+    def fault(mask, key):
+        return key + (sum(u * v for i, (u, v) in enumerate(pairs) if mask >> i & 1) % 3 * scale << a)
+
+    fault_mask_keys(monkeypatch, fault)
 
 
 def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypatch):
@@ -623,30 +630,31 @@ def test_graph_dependent_fault_evaluates_each_key_once(capsys, monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for a multiprocessing pool: records its size, runs tasks inline."""
+    """Stands in for a ProcessPoolExecutor: records its size, runs tasks inline."""
 
     sizes: list[int] = []
 
-    def __init__(self, processes, initializer=None, initargs=()):
-        RecordingPool.sizes.append(processes)
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        RecordingPool.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def apply_async(self, fn, args):
-        result = fn(*args)
-        return SimpleNamespace(get=lambda: result)
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
-RecordingContext = SimpleNamespace(Pool=RecordingPool)
+def use_pool(monkeypatch, pool=RecordingPool) -> None:
+    """Make the CLI start pool in place of a ProcessPoolExecutor."""
+    RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Only the worker pool needs multiprocessing, so the CLI loads it there;
-    # the pool tests below patch the module's own get_context for that reason.
+    # the pool tests below patch concurrent.futures for that reason.
     # The probe also lists the top-level modules the import adds from outside
     # the standard library: the package has no runtime dependency.  Modules
     # the interpreter preloads at start-up are taken out first.
@@ -680,8 +688,7 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 )
 def test_jobs_clamped_to_cores_and_tasks(capsys, monkeypatch, cpus, argv, expected):
     rc, baseline = main(argv[:-2]), capsys.readouterr().out
-    RecordingPool.sizes = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert main(argv) == rc == 0
     assert capsys.readouterr().out == baseline
@@ -692,8 +699,7 @@ def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatc
     # The memo of every profile is filled before the first task and sent
     # with each mask range, so the pool's eight ranges at n = 5 evaluate
     # none of the 31 degree profiles again.
-    RecordingPool.sizes = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     calls = record_profile_parts(monkeypatch)
     rc, out = sweep_stdout(capsys, 5, "--jobs", "2")
@@ -718,11 +724,11 @@ def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
         return real(report)
 
     monkeypatch.setattr(cli, name, counting)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for jobs, pools in (("1", []), ("2", [2])):
         calls.clear()
-        RecordingPool.sizes = []
+        RecordingPool.sizes.clear()
         rc, out = sweep_stdout(capsys, 5, "--jobs", jobs, *extra)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][bool(extra)]
@@ -752,7 +758,7 @@ def test_pool_results_pickle_each_entry_once(capsys, monkeypatch, extra, digest)
         return result
 
     monkeypatch.setattr(cli, "_listed", recording)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     rc, out = sweep_stdout(capsys, 6, "--jobs", "2", *extra)
     assert rc == 0
@@ -766,8 +772,7 @@ def test_pool_results_pickle_each_entry_once(capsys, monkeypatch, extra, digest)
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
     src = tmp_path / "three.g6"
     src.write_text("Bw\nA_\nCh\n")
-    RecordingPool.sizes = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert main(["verify", str(src), "--jobs", "8"]) == 0
     assert "summary: graphs=3 " in capsys.readouterr().out
@@ -832,9 +837,129 @@ def test_verify_reads_graph6_one_chunk_per_worker_ahead(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "open", CountingFile, raising=False)
     monkeypatch.setattr(cli, "verify_all_identities", recording)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    use_pool(monkeypatch)
     assert main(["verify", str(src), "--jobs", str(jobs), "--p-max", "3", "--m-max", "2"]) == 0
     assert "summary: graphs=1000 " in capsys.readouterr().out
     assert lines_read == 1000
     # Each worker holds one 128-line chunk, and one more is being read.
     assert read_at_first_verify[0] <= (jobs + 1) * 128
+
+
+def kill_worker(task):
+    """A pool task that ends its worker process at once, as the OOM killer would."""
+    os._exit(9)
+
+
+# Runs the CLI on argv[2:] with the task function named argv[1] replaced by
+# kill_worker, which spawned workers import from this module.
+KILLING_CLI = (
+    "import sys, starzagreb.cli as cli, tests.test_sweep as t; "
+    "cli.os.cpu_count = lambda: 2; setattr(cli, sys.argv[1], t.kill_worker); "
+    "sys.exit(cli.main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize("task", ["_verify_mask_range", "_verify_chunk"], ids=["exhaustive", "graph6"])
+def test_worker_death_exits_2_without_waiting(tmp_path, task):
+    # A worker that dies ends the run with an error line and exit 2 at once,
+    # where the multiprocessing pool waited for its result forever.
+    batch = tmp_path / "k2.g6"
+    batch.write_text("A_\n" * 300)
+    argv = ["--exhaustive", "--n", "5"] if task == "_verify_mask_range" else [str(batch)]
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", KILLING_CLI, task, "verify", *argv, "--jobs", "2"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: the worker pool failed: A process in the process pool")
+    assert done.stderr.endswith("; --jobs 1 runs without a pool\n")
+
+
+class UnstartablePool(RecordingPool):
+    """A pool whose first submit cannot start the pool's thread."""
+
+    def submit(self, fn, *args):
+        raise RuntimeError("can't start new thread")
+
+
+class ThreadDeathPool(RecordingPool):
+    """A pool whose own thread dies on its first task, leaving the task
+    pending, as ProcessPoolExecutor's did before Python 3.12 when it could
+    not start its queue feeder thread."""
+
+    def submit(self, fn, *args):
+        thread = threading.Thread(target=self.fail)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+        return Future()
+
+    def fail(self):
+        raise RuntimeError("can't start new thread")
+
+
+class BreakingPool(RecordingPool):
+    """A pool that runs its first three tasks and then loses a worker."""
+
+    def submit(self, fn, *args):
+        if len(self.done) < 3:
+            self.done.append(None)
+            return super().submit(fn, *args)
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+
+@pytest.mark.parametrize(
+    "pool, fault, rc, message",
+    [
+        (UnstartablePool, False, 2, "can't start new thread"),
+        (ThreadDeathPool, False, 2, "a pool thread died: can't start new thread"),
+        (BreakingPool, False, 2, "a worker died"),
+        # A failure printed before the pool broke keeps its exit code.
+        (BreakingPool, True, 1, "a worker died"),
+    ],
+    ids=["start", "thread", "broken", "broken-after-failure"],
+)
+def test_pool_failure_exits_with_an_error_line(capsys, monkeypatch, pool, fault, rc, message):
+    # No summary follows: the tallies would cover only the masks printed.
+    pool.done = []
+    use_pool(monkeypatch, pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    if fault:
+        _, a, _, scale = oracle._key_layout(6)
+        fault_mask_keys(monkeypatch, lambda m, key: key + (scale << a) if m == 11 else key)
+    hook = threading.excepthook
+    assert main(["verify", "--exhaustive", "--n", "6", "--jobs", "2", "--p-max", "1"]) == rc
+    out, err = capsys.readouterr()
+    assert err == f"error: the worker pool failed: {message}; --jobs 1 runs without a pool\n"
+    assert "summary" not in out
+    assert ("FAIL n=6:mask=11 " in out) == fault
+    assert threading.excepthook is hook
+
+
+def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
+    # Under a graph-dependent fault, the 194 keys the fault adds at n = 6
+    # fill the memo only up to the cap; the masks past it are evaluated
+    # one by one, and print the same bytes.
+    add_edge_sum_fault(monkeypatch)
+    argv = ("--p-max", "1", "--m-max", "0")
+    rc, full = sweep_stdout(capsys, 6, *argv)
+    memos = []
+    real = cli._profile_memo
+
+    def recording(*args):
+        memos.append(real(*args))
+        return memos[-1]
+
+    monkeypatch.setattr(cli, "_profile_memo", recording)
+    monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 110)
+    assert sweep_stdout(capsys, 6, *argv) == (rc, full) == (1, full)
+    assert len(memos) == 1
+    assert len(memos[0]) == 110
