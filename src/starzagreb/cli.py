@@ -483,9 +483,9 @@ def _report_json_line(graph_id: str, n: int, m: int, tail: str) -> str:
 def _verify_chunk(task: tuple[list, int, int, bool, bool]) -> Iterator[_Outcome]:
     """Outcomes for a chunk of _iter_inputs items, in order.
 
-    verify_all_identities puts failed checks in its report; its ValueError
-    means the graph has more vertices than the brute-force star counts can
-    finish (p_max and m_max are checked before any graph is read).
+    verify_all_identities puts failed checks in its report, a route that
+    raised among them; its ValueError refuses a graph with more vertices
+    than the brute-force star counts can finish, before any route runs.
     """
     items, p_max, m_max, as_json, compact = task
     for ident, g in items:

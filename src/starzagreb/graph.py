@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 __all__ = [
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 GRAPH6_HEADER = ">>graph6<<"
+# The pairs (u, v), u < v < 62, in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ...
+_GRAPH6_PAIRS = tuple((u, v) for v in range(1, 62) for u in range(v))
+# The six bits of each data value 0..63, most significant first, as 0/1 bytes.
+_GRAPH6_BITS = tuple(bytes(x >> i & 1 for i in range(5, -1, -1)) for x in range(64))
 
 # Integer tokens longer than CPython's default int-from-str digit limit are
 # refused before int() sees them, whatever limit the interpreter runs with.
@@ -191,40 +196,34 @@ def parse_graph6(line: str) -> Graph:
     Only single-byte sizes are accepted (1 <= n <= 62).  The n(n-1)/2
     adjacency bits cover the upper triangle column by column: (0,1), (0,2),
     (1,2), (0,3), ..., packed big-endian into 6-bit characters offset by 63.
+    Each character is spread into six 0/1 bytes, which select the edges
+    from the first n(n-1)/2 pairs of that order: padding bits are not read.
     """
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    values = []
-    for pos, ch in enumerate(s):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise GraphFormatError(f"invalid graph6 character {ch!r} at position {pos}")
-        values.append(code - 63)
-    if values[0] == 63:
+    bad = re.search("[^?-~]", s)  # graph6 uses only codes 63..126
+    if bad:
+        raise GraphFormatError(f"invalid graph6 character {bad[0]!r} at position {bad.start()}")
+    data = s.encode("ascii")
+    if data[0] == 126:
         raise GraphFormatError("multi-byte vertex counts (n > 62) are not supported")
-    n = values[0]
+    n = data[0] - 63
     if n == 0:
         raise GraphFormatError("graph6 string encodes a graph with no vertices")
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    body = values[1:]
+    body = data[1:]
     if len(body) < nchars:
         raise GraphFormatError(
             f"truncated graph6 bit field: need {nchars} data characters, got {len(body)}"
         )
     if len(body) > nchars:
         raise GraphFormatError("unexpected trailing characters after graph6 bit field")
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if body[idx // 6] >> (5 - idx % 6) & 1:
-                edges.add((u, v))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    bits = b"".join([_GRAPH6_BITS[c - 63] for c in body])
+    return Graph(n, frozenset(compress(_GRAPH6_PAIRS[:nbits], bits)))
 
 
 def to_graph6(g: Graph) -> str:

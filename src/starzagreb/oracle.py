@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, islice
 from operator import add
@@ -368,6 +368,21 @@ def _recurrence_index_note(n: int, z: Sequence[int], p_max: int) -> ErratumNote:
     return ErratumNote("recurrence_index_base", description, False, None)
 
 
+def _checked(name: str, checks: Iterable[TheoremCheck]) -> TheoremResult:
+    """The theorem name with its checks.  A route under test that raises on
+    an accepted graph ends them with a failed check, residual 1, that names
+    the exception.  MemoryError is a limit, not a fault: it propagates."""
+    done = []
+    try:
+        for check in checks:
+            done.append(check)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        done.append(TheoremCheck(f"raised {type(exc).__name__}: {exc}", 1))
+    return TheoremResult(name, tuple(done))
+
+
 def _profile_part(
     g: Graph, edge_sum: Fraction, counts: tuple[int, ...], p_max: int, m_max: int
 ) -> tuple[tuple[TheoremResult, ...], tuple[ErratumNote, ...]]:
@@ -378,84 +393,88 @@ def _profile_part(
     sum and the brute-force star counts.  So the results are the same for
     every graph with that f and those two values.
 
-    The ground truth is computed once: one table of Z_p by direct powers
-    and one row each of the two moment sides.  Every check and erratum
-    note reads those values, while each library route under test is still
-    called on its own.
+    The ground truth is computed once, when first read: one table of Z_p
+    by direct powers and one row each of the two moment sides.  Each route
+    under test is still called on its own.  cache keeps no exception, so a
+    route that raises fails each theorem that reads it (_checked), and the
+    erratum notes are left out.
     """
     n, f = g.n, g.frequency
-    s = star_sequence(g)
     terms = max(p_max + 1, 2 * n + 10)
-    z = [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))]
-    lhs = [alternating_moment(s, m_exp) for m_exp in range(m_max + 1)]
-    rhs = [moment_identity_rhs(f, m_exp) for m_exp in range(1, m_max + 1)]
-    theorems = []
+    s = cache(partial(star_sequence, g))
+    z = cache(lambda: [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))])
+    lhs = cache(lambda: [alternating_moment(s(), m_exp) for m_exp in range(m_max + 1)])
+    rhs = cache(lambda: [moment_identity_rhs(f, m_exp) for m_exp in range(1, m_max + 1)])
+    gf = cache(partial(genfunc_numerator, g))
 
-    # Inversion: formula-route star counts against degree counting, and back.
-    s_from_f = star_from_frequency(f)
-    checks = [TheoremCheck("S1", s_from_f.s1 - s.s1)]
-    for k in range(2, n):
-        checks.append(TheoremCheck(f"S{k}", s_from_f.entry(k) - s.entry(k)))
-    f_from_s = frequency_from_star(s)
-    for i in range(n):
-        checks.append(TheoremCheck(f"f{i}", f_from_s.f(i) - f.f(i)))
-    theorems.append(TheoremResult("inversion", tuple(checks)))
+    def inversion():
+        # Formula-route star counts against degree counting, and back.
+        s_from_f, stars = star_from_frequency(f), s()
+        yield TheoremCheck("S1", s_from_f.s1 - stars.s1)
+        for k in range(2, n):
+            yield TheoremCheck(f"S{k}", s_from_f.entry(k) - stars.entry(k))
+        f_from_s = frequency_from_star(stars)
+        for i in range(n):
+            yield TheoremCheck(f"f{i}", f_from_s.f(i) - f.f(i))
 
-    # Alternating moments against the frequency-side sums.
-    checks = [TheoremCheck("m=0", lhs[0] - sum(f.counts[1:]))]
-    for m_exp, right in enumerate(rhs, start=1):
-        checks.append(TheoremCheck(f"m={m_exp}", lhs[m_exp] - right))
-    theorems.append(TheoremResult("moments", tuple(checks)))
+    def moments():
+        # Alternating moments against the frequency-side sums.
+        yield TheoremCheck("m=0", lhs()[0] - sum(f.counts[1:]))
+        for m_exp, right in enumerate(rhs(), start=1):
+            yield TheoremCheck(f"m={m_exp}", lhs()[m_exp] - right)
 
-    # The inverse-degree edge sum counts the non-isolated vertices, and the
-    # star route the isolated ones.
-    checks = [
-        TheoremCheck("edge_sum", edge_sum - (n - f.isolated)),
-        TheoremCheck("f0_from_stars", isolated_count_from_star(s) - f.isolated),
-    ]
-    theorems.append(TheoremResult("inverse_degree_sum", tuple(checks)))
+    def inverse_degree_sum():
+        # The edge sum counts the non-isolated vertices, the star route the others.
+        yield TheoremCheck("edge_sum", edge_sum - (n - f.isolated))
+        yield TheoremCheck("f0_from_stars", isolated_count_from_star(s()) - f.isolated)
 
-    # Star-route Zagreb values against direct powers.
-    checks = [
-        TheoremCheck(f"p={p}", zagreb_from_stars(s, p) - z[p]) for p in range(1, p_max + 1)
-    ]
-    theorems.append(TheoremResult("zagreb_from_stars", tuple(checks)))
+    def stars_to_zagreb():
+        # Star-route Zagreb values against direct powers.
+        for p in range(1, p_max + 1):
+            yield TheoremCheck(f"p={p}", zagreb_from_stars(s(), p) - z()[p])
 
-    # Generating function: long-division series against direct values, plus
-    # both endpoint coefficients.
-    gf = genfunc_numerator(g)
-    series = series_expand_rational(gf.numerator, n, terms)
-    checks = [TheoremCheck(f"series_p={p}", series[p] - z[p]) for p in range(terms)]
-    checks.append(TheoremCheck("a0", gf.numerator[0] - n))
-    checks.append(
-        TheoremCheck(
-            "a_top",
-            gf.numerator[n] - (-1) ** n * math.factorial(n) * f.isolated,
-        )
-    )
-    theorems.append(TheoremResult("genfunc", tuple(checks)))
+    def genfunc():
+        # Long-division series against direct values, and both end coefficients.
+        num, direct = gf().numerator, z()
+        series = series_expand_rational(num, n, terms)
+        for p in range(terms):
+            yield TheoremCheck(f"series_p={p}", series[p] - direct[p])
+        yield TheoremCheck("a0", num[0] - n)
+        yield TheoremCheck("a_top", num[n] - (-1) ** n * math.factorial(n) * f.isolated)
 
-    # Order-n recurrence: the boundary residual must equal the top numerator
-    # coefficient, everything past it must vanish (both in the paper's
-    # Stirling form), and the factored route must reproduce direct values.
-    checks = []
-    for item in verify_recurrence(g, n, n + p_max):
-        expected = gf.numerator[n] if item.p == n else 0
-        checks.append(TheoremCheck(f"residual_p={item.p}", item.residual - expected))
-    for p in range(1, p_max + 1):
-        checks.append(TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - z[p]))
-    theorems.append(TheoremResult("recurrence", tuple(checks)))
+    def recurrence():
+        # Order-n recurrence in the paper's Stirling form: the residual at p = n
+        # is the top numerator coefficient, every later one 0.  The factored
+        # route must reproduce direct values.
+        for item in verify_recurrence(g, n, n + p_max):
+            expected = gf().numerator[n] if item.p == n else 0
+            yield TheoremCheck(f"residual_p={item.p}", item.residual - expected)
+        for p in range(1, p_max + 1):
+            yield TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - z()[p])
 
     # Enumerated star counts against the degree formula.
-    checks = [TheoremCheck(f"k={k}", c - s.entry(k)) for k, c in enumerate(counts, start=1)]
-    theorems.append(TheoremResult("star_bruteforce", tuple(checks)))
-
-    errata = (
-        _moment_sign_note(lhs, rhs),
-        _f1_sign_note(s, f),
-        _recurrence_index_note(n, z, p_max),
+    bruteforce = (TheoremCheck(f"k={k}", c - s().entry(k)) for k, c in enumerate(counts, start=1))
+    theorems = (
+        _checked("inversion", inversion()),
+        _checked("moments", moments()),
+        _checked("inverse_degree_sum", inverse_degree_sum()),
+        _checked("zagreb_from_stars", stars_to_zagreb()),
+        _checked("genfunc", genfunc()),
+        _checked("recurrence", recurrence()),
+        _checked("star_bruteforce", bruteforce),
     )
-    return tuple(theorems), errata
+    try:
+        errata = (
+            _moment_sign_note(lhs(), rhs()),
+            _f1_sign_note(s(), f),
+            _recurrence_index_note(n, z(), p_max),
+        )
+    except Exception as exc:
+        # A route the notes read that raised has failed a theorem above.
+        if isinstance(exc, MemoryError) or all(t.passed for t in theorems):
+            raise
+        errata = ()
+    return theorems, errata
 
 
 def _check_limits(p_max: int, m_max: int) -> None:

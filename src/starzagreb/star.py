@@ -10,6 +10,7 @@ for every k >= 2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,14 +119,25 @@ def star_sequence(g: Graph) -> StarSequence:
     """Count stars directly from vertex degrees.
 
     S_1 is the edge count; for k >= 2 a K_{1,k} subgraph has a unique
-    center, so S_k = sum_v C(deg(v), k).  C(d, k) = 0 for k > d, so each
-    vertex adds only its own row, k = 2..deg(v).
+    center, so S_k = sum_v C(deg(v), k).  C(d, k) = 0 for k > d, so the c
+    vertices of degree d add c times the row C(d, 2..d), built once.  The
+    degrees are tallied from g.vertex_degrees, not read from g.frequency,
+    which star_from_frequency reads: so a fault in the frequency tally
+    shows in the inversion theorem, which compares the two.
     """
     higher = [0] * max(0, g.n - 2)
-    for d in g.vertex_degrees:
-        for k in range(2, d + 1):
-            higher[k - 2] += binomial(d, k)
+    for d, c in Counter(g.vertex_degrees).items():
+        for k, x in enumerate(_binomial_row(d), start=2):
+            higher[k - 2] += c * x
     return StarSequence(n=g.n, s1=g.m, higher=tuple(higher))
+
+
+def _binomial_row(d: int) -> list[int]:
+    """C(d, 2), ..., C(d, d) by C(d, k) = C(d, k-1) (d-k+1) / k; empty for d < 2."""
+    row = [d]
+    for k in range(2, d + 1):
+        row.append(row[-1] * (d - k + 1) // k)
+    return row[1:]
 
 
 def star_from_frequency(f: FrequencySequence) -> StarSequence:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from operator import mul
 
 from .combinatorics import stirling1_rows, surjection_row
 from .graph import Graph
@@ -82,9 +83,18 @@ class ZagrebGenFunc:
 
 
 def genfunc_numerator(g: Graph) -> ZagrebGenFunc:
-    """Numerator coefficients a_k = sum_{i<=k} s(n+1, n+1-(k-i)) Z_i, k = 0..n."""
-    n = g.n
-    z = [zagreb_direct(g, p) for p in range(n + 1)]
+    """Numerator coefficients a_k = sum_{i<=k} s(n+1, n+1-(k-i)) Z_i, k = 0..n.
+
+    Z_p = sum_d f_d d^p over the distinct degrees d, as in zagreb_direct,
+    by running products: each term f_d d^p starts at f_d (so 0^0 = 1) and
+    is multiplied by its d once per step.
+    """
+    n, counts = g.n, g.frequency.counts
+    degrees = [d for d, c in enumerate(counts) if c]
+    terms, z = [c for c in counts if c], []
+    for _ in range(n + 1):
+        z.append(sum(terms))
+        terms = list(map(mul, terms, degrees))
     c = [1, *recurrence_coeffs(n)]
     num = tuple(sum(c[k - i] * z[i] for i in range(k + 1)) for k in range(n + 1))
     return ZagrebGenFunc(n=n, numerator=num)

@@ -12,6 +12,7 @@ import pytest
 
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
+import starzagreb.star as star_module
 from starzagreb.cli import main
 from starzagreb.graph import to_graph6
 from starzagreb.oracle import TheoremCheck, TheoremReport, TheoremResult
@@ -513,6 +514,58 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "FAIL S1 residual=1" in out
     assert "failures=1" in out
+
+
+@pytest.fixture
+def c42_is_7(monkeypatch):
+    """The star module's binomial with C(4, 2) = 7.  On a graph with a
+    degree-4 vertex, star_from_frequency then miscounts S_2, and
+    frequency_from_star raises on the negative f_0 it forces."""
+    real = star_module.binomial
+    monkeypatch.setattr(star_module, "binomial", lambda n, k: 7 if (n, k) == (4, 2) else real(n, k))
+
+
+K5_EDGELIST = "5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5))
+
+
+def test_verify_reports_a_route_that_raises_as_a_failed_check(tmp_path, capsys, c42_is_7):
+    src = write(tmp_path, "k5.txt", K5_EDGELIST)
+    rc = main(["verify", src, "--json"])
+    captured = capsys.readouterr()
+    report, summary = json_lines(captured.out)
+    assert rc == 1
+    assert captured.err == ""
+    assert report["passed"] is False and summary["failures"] == 1
+    failed = {name for name, t in report["theorems"].items() if t["status"] == "fail"}
+    assert failed == {"inversion"}
+    residuals = report["theorems"]["inversion"]["residuals"]
+    label = "raised InconsistentSequenceError: star counts force f_0 = -5 < 0"
+    assert residuals[label] == "1"
+    assert main(["verify", src]) == 1
+    out = capsys.readouterr().out
+    assert f"    FAIL {label} residual=1\n" in out
+    assert out.endswith(" failures=1 errata_observations=3 -> FAIL\n")
+
+
+def test_exhaustive_sweep_reports_a_route_that_raises(capsys, c42_is_7):
+    rc = main(["verify", "--exhaustive", "--n", "5"])
+    captured = capsys.readouterr()
+    # Exactly the graphs with a degree-4 vertex fail, each in inversion.
+    hubs = sum(4 in g.vertex_degrees for g in oracle.all_labeled_graphs(5))
+    assert rc == 1
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith(f"summary: graphs=1024 checks=")
+    assert f" failures={hubs} " in captured.out.splitlines()[-1]
+    fails = [line for line in captured.out.splitlines() if line.startswith("  FAIL ")]
+    assert {line.split("/")[0] for line in fails} == {"  FAIL inversion"}
+    assert sum("/raised InconsistentSequenceError: " in line for line in fails) == hubs
+
+
+def test_refusals_still_come_before_any_route(tmp_path, capsys, c42_is_7):
+    src = write(tmp_path, "k1_20.txt", "21\n" + "".join(f"0 {i}\n" for i in range(1, 21)))
+    assert main(["verify", src]) == 2
+    assert "n = 21 is above the brute-force limit of 20" in capsys.readouterr().err
+    assert main(["verify", write(tmp_path, "k5.txt", K5_EDGELIST), "--p-max", "41"]) == 2
 
 
 # A graph6 batch with a 4-vertex path, a blank line, a bad line, K_{1,61}

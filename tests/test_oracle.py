@@ -326,3 +326,29 @@ def test_verify_refuses_graphs_past_the_bruteforce_limit(monkeypatch):
     n = MAX_BRUTEFORCE_N + 1
     with pytest.raises(ValueError, match=f"n = {n} .* limit of {MAX_BRUTEFORCE_N} "):
         verify_all_identities(path(n))
+
+
+def test_a_route_that_raises_fails_each_theorem_that_reads_it(monkeypatch):
+    def refusing(g):
+        raise ValueError("no stars today")
+
+    monkeypatch.setattr(oracle, "star_sequence", refusing)
+    report = verify_all_identities(star(3))
+    raised = "raised ValueError: no stars today"
+    failed = {name for name, check in report.failures() if check.label == raised}
+    assert failed == {
+        "inversion", "moments", "inverse_degree_sum", "zagreb_from_stars", "star_bruteforce"
+    }
+    assert all(check.residual == 1 for _, check in report.failures())
+    assert {t.name for t in report.theorems if t.passed} == {"genfunc", "recurrence"}
+    # The erratum notes read the star sequence too, so they are left out.
+    assert report.errata == ()
+
+
+def test_a_fault_in_an_erratum_note_itself_propagates(monkeypatch):
+    def broken(s, f):
+        raise ZeroDivisionError("note bug")
+
+    monkeypatch.setattr(oracle, "_f1_sign_note", broken)
+    with pytest.raises(ZeroDivisionError):
+        verify_all_identities(star(3))

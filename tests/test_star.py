@@ -198,12 +198,23 @@ def test_star_sequences_stop_at_the_maximum_degree(binomial_calls):
     assert len(binomial_calls) <= 2 * g.n
 
 
-def test_star_sequence_walks_each_vertex_row(binomial_calls):
+def test_star_sequence_walks_each_vertex_row(binomial_calls, monkeypatch):
     # A claw on 0..3 plus a disjoint P_4 on 4..7: degrees 3,1,1,1,1,2,2,1.
     g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7)])
+    rows = []
+    real_row = star_module._binomial_row
+
+    def recording_row(d):
+        rows.append(d)
+        return real_row(d)
+
+    monkeypatch.setattr(star_module, "_binomial_row", recording_row)
     assert star_sequence(g) == StarSequence(8, 6, (5, 1, 0, 0, 0, 0))
-    # C(d, k) for k = 2..d only: two for the center, one per P_4 middle.
-    assert sorted(binomial_calls) == [(2, 2), (2, 2), (3, 2), (3, 3)]
+    # No binomial call: one row per distinct degree d >= 2, C(3, 2..3) for
+    # the center and C(2, 2) once for both P_4 middles.
+    assert binomial_calls == []
+    assert sorted(d for d in rows if d >= 2) == [2, 3]
+    assert (real_row(3), real_row(2), real_row(1), real_row(0)) == ([3, 1], [1], [], [])
 
 
 @given(graphs(max_n=12))
