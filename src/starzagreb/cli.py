@@ -449,7 +449,7 @@ def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iter
     pickle writes a recurring entry once, so a pool sends no line per mask."""
     n, start, stop, memo, p_max, m_max, as_json = task
     finish = partial(_render_entry, p_max, m_max, as_json)
-    return _sweep_masks(n, start, stop, memo, p_max, m_max, finish)
+    return _sweep_masks(n, [(start, stop)], memo, p_max, m_max, finish)
 
 
 def _sweep_outcomes(n: int, as_json: bool, entries: Iterator[tuple]) -> Iterator[_Outcome]:

@@ -17,21 +17,23 @@ and f determine each other, only the edge sum and the brute-force star
 counts read more of a graph than its profile.  So one memo maps a graph's
 sweep key, one integer packing its frequency vector and those two values,
 to its results, finished once in the form the caller keeps:
-sweep_reports keeps the results, the CLI their rendered text.  Before the
-first mask, a Havel-Hakimi realization of each profile fills it.  Every
-key part is additive over vertex 0's neighbours, so each block of masks
-that differ only there takes one addition per key.  A key the memo lacks
-is evaluated on its graph and, up to a cap, filled in.  Worker processes
-are sent the prefilled memo, each sweeping a range of masks.
+sweep_reports keeps the results, the CLI their rendered text.  Only
+_mask_keys builds a sweep key: every key part is additive over vertex
+0's neighbours, so each block of masks that differ only there takes one
+addition per key.  A key the memo lacks is evaluated on its graph and,
+up to a cap, filled in.  The memo is prefilled by sweeping one mask per
+profile, its Havel-Hakimi realization, and worker processes are sent
+the prefilled memo, each sweeping a range of masks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, combinations_with_replacement, islice, starmap
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,7 +41,6 @@ from .combinatorics import falling_factorial_coeffs, stirling1_rows
 from .graph import FrequencySequence, Graph, to_graph6
 from .star import (
     StarSequence,
-    _edge_sum_numerator,
     alternating_moment,
     frequency_from_star,
     inverse_degree_edge_sum,
@@ -100,17 +101,7 @@ def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
         masks[u] = masks[u] << 1 | 1
         masks[v] = masks[v] << 1 | 1
     width = _star_field_width(g.n, max(masks).bit_length())
-    packed = _packed_star_counts(masks, partial(_subset_histogram, width=width))
-    return _unpack_star_counts(packed, g.n, width)
-
-
-def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Bit v of entry u is set when the edge (u, v) or (v, u) is listed."""
-    nbrs = [0] * n
-    for u, v in edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    return nbrs
+    return _unpack_star_counts(sum(map(partial(_subset_histogram, width=width), masks)), g.n, width)
 
 
 def _star_field_width(n: int, delta: int) -> int:
@@ -138,20 +129,10 @@ def _subset_histogram(mask: int, width: int) -> int:
     return packed
 
 
-def _packed_star_counts(nbrs: Iterable[int], histogram: Callable[[int], int]) -> int:
-    """The raw star counts of a graph, from one mask per center with one
-    bit per neighbour, packed as _subset_histogram packs them.
-
-    A K_{1,k} is a center plus k of its neighbours, so field k sums the
-    k-subsets of every neighbour mask: histogram(mask) is
-    _subset_histogram's value for mask, walked on the spot or read from a
-    table.  Field 1 counts each edge from both ends.
-    """
-    return sum(map(histogram, nbrs))
-
-
 def _unpack_star_counts(packed: int, n: int, width: int) -> tuple[int, ...]:
-    """(S_1, ..., S_{n-1}) from _packed_star_counts's value.  For k = 1 the
+    """(S_1, ..., S_{n-1}) from the sum of _subset_histogram over one mask
+    per center with one bit per neighbour.  A K_{1,k} is a center plus k
+    of its neighbours, so field k of that sum counts them; for k = 1 the
     two center choices of an edge describe the same subgraph, so that
     count is halved."""
     field = (1 << width) - 1
@@ -384,22 +365,24 @@ def _checked(name: str, checks: Iterable[TheoremCheck]) -> TheoremResult:
 
 
 def _profile_part(
-    g: Graph, edge_sum: Fraction, counts: tuple[int, ...], p_max: int, m_max: int
+    g: Graph, edge_sum: Callable[[], Fraction], counts: Callable[[], tuple], p_max: int, m_max: int
 ) -> tuple[tuple[TheoremResult, ...], tuple[ErratumNote, ...]]:
     """The theorems and erratum notes of g's report, in report order.
 
     Every check reads g only through its frequency sequence f, except two
-    that compare the per-graph values passed in: the inverse-degree edge
-    sum and the brute-force star counts.  So the results are the same for
-    every graph with that f and those two values.
+    that compare the per-graph values edge_sum() and counts() return: the
+    inverse-degree edge sum and the brute-force star counts.  So the
+    results are the same for every graph with that f and those two values.
 
     The ground truth is computed once, when first read: one table of Z_p
     by direct powers and one row each of the two moment sides.  Each route
-    under test is still called on its own.  cache keeps no exception, so a
-    route that raises fails each theorem that reads it (_checked), and the
-    erratum notes are left out.
+    under test is still called on its own, the two per-graph ones too,
+    inside the one theorem that reads each.  cache keeps no exception, so
+    a route that raises fails each theorem that reads it (_checked), and
+    the erratum notes are left out.
     """
     n, f = g.n, g.frequency
+    edge_sum, counts = cache(edge_sum), cache(counts)
     terms = max(p_max + 1, 2 * n + 10)
     s = cache(partial(star_sequence, g))
     z = cache(lambda: [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))])
@@ -425,7 +408,7 @@ def _profile_part(
 
     def inverse_degree_sum():
         # The edge sum counts the non-isolated vertices, the star route the others.
-        yield TheoremCheck("edge_sum", edge_sum - (n - f.isolated))
+        yield TheoremCheck("edge_sum", edge_sum() - (n - f.isolated))
         yield TheoremCheck("f0_from_stars", isolated_count_from_star(s()) - f.isolated)
 
     def stars_to_zagreb():
@@ -452,8 +435,11 @@ def _profile_part(
         for p in range(1, p_max + 1):
             yield TheoremCheck(f"route_p={p}", zagreb_by_recurrence(g, p) - z()[p])
 
-    # Enumerated star counts against the degree formula.
-    bruteforce = (TheoremCheck(f"k={k}", c - s().entry(k)) for k, c in enumerate(counts, start=1))
+    def star_bruteforce():
+        # Enumerated star counts against the degree formula.
+        for k, c in enumerate(counts(), start=1):
+            yield TheoremCheck(f"k={k}", c - s().entry(k))
+
     theorems = (
         _checked("inversion", inversion()),
         _checked("moments", moments()),
@@ -461,7 +447,7 @@ def _profile_part(
         _checked("zagreb_from_stars", stars_to_zagreb()),
         _checked("genfunc", genfunc()),
         _checked("recurrence", recurrence()),
-        _checked("star_bruteforce", bruteforce),
+        _checked("star_bruteforce", star_bruteforce()),
     )
     try:
         errata = (
@@ -503,7 +489,7 @@ def verify_all_identities(
             "verify counts stars over up to n * 2^(n-1) neighbour subsets"
         )
     theorems, errata = _profile_part(
-        g, inverse_degree_edge_sum(g), star_counts_bruteforce(g), p_max, m_max
+        g, partial(inverse_degree_edge_sum, g), partial(star_counts_bruteforce, g), p_max, m_max
     )
     return TheoremReport(graph_id or to_graph6(g), g.n, g.m, p_max, m_max, theorems, errata)
 
@@ -542,8 +528,9 @@ def _key_layout(n: int) -> tuple[int, int, int, int]:
 def _evaluate_key(g: Graph, key: int, p_max: int, m_max: int) -> tuple:
     """_profile_part of g on the two per-graph values in its sweep key."""
     _, a, b, scale = _key_layout(g.n)
-    counts = _unpack_star_counts(key >> b, g.n, _star_field_width(g.n, g.n - 1))
-    return _profile_part(g, Fraction(key >> a & (1 << b - a) - 1, scale), counts, p_max, m_max)
+    edge_sum = partial(Fraction, key >> a & (1 << b - a) - 1, scale)
+    counts = partial(_unpack_star_counts, key >> b, g.n, _star_field_width(g.n, g.n - 1))
+    return _profile_part(g, edge_sum, counts, p_max, m_max)
 
 
 def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
@@ -551,33 +538,24 @@ def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) 
 
     It maps a graph's sweep key, as _mask_keys gives a mask's, to finish of
     that graph's (theorems, errata).  Each non-increasing degree sequence
-    that Havel-Hakimi realizes is one profile, keyed by the two per-graph
-    checks' cores on its realization.  Equal results are kept once: every
-    passing profile's graphs share one theorems tuple.
+    that Havel-Hakimi realizes is one profile.  The memo is filled by an
+    ordinary sweep of one range per profile, its realization's mask, so
+    each key comes from _mask_keys, as every other mask's does.
     """
     _check_limits(p_max, m_max)
-    _vertex_pairs(n)  # refuses n outside 1..MAX_ENUM_N
-    fw, a, b, scale = _key_layout(n)
-    inverses = [0, *(scale // d for d in range(1, n))]
-    histogram = partial(_subset_histogram, width=_star_field_width(n, n - 1))
+    # _vertex_pairs refuses n outside 1..MAX_ENUM_N.
+    bits = {pair: 1 << i for i, pair in enumerate(_vertex_pairs(n))}
+    degrees = combinations_with_replacement(range(n - 1, -1, -1), n)
+    realized = filter(None, (_realize(n, d) for d in degrees))
+    masks = sorted(sum(map(bits.get, g.edges)) for g in realized)
     memo: dict[int, object] = {}
-    # Profiles whose checks all hold yield equal results, label for label,
-    # so each distinct result is kept once, with one cached pass status.
-    results: dict[TheoremResult, TheoremResult] = {}
-    for degrees in combinations_with_replacement(range(n - 1, -1, -1), n):
-        g = _realize(n, degrees)
-        if g is not None:
-            num = _edge_sum_numerator(g.vertex_degrees, g.edges, inverses)
-            packed = _packed_star_counts(_neighbour_masks(n, g.edges), histogram)
-            key = sum(1 << fw * d for d in degrees) | num << a | packed << b
-            theorems, errata = _evaluate_key(g, key, p_max, m_max)
-            theorems = tuple(results.setdefault(r, r) for r in theorems)
-            memo[key] = finish((theorems, errata))
+    deque(_sweep_masks(n, [(m, m + 1) for m in masks], memo, p_max, m_max, finish), 0)
     return memo
 
 
-def _mask_keys(n: int, start: int, stop: int) -> Iterator[int]:
-    """The sweep keys of the labeled graphs with masks start..stop-1, in order.
+def _mask_keys(n: int, ranges: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """The sweep keys of the labeled graphs with masks start..stop-1 for
+    each (start, stop) in ranges, in order.  No other code builds a key.
 
     A mask's low n - 1 bits, the pairs (0, 1) .. (0, n - 1), are vertex
     0's neighbours S; its high bits are a graph H on 1..n-1.  The 2^(n-1)
@@ -594,7 +572,7 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[int]:
     pairs = _vertex_pairs(n)
     fw, a, b, scale = _key_layout(n)
     inv = [0, *(scale // d for d in range(1, n))]
-    # Every neighbour mask's subset histogram, once per range: 3^n visits.
+    # Every neighbour mask's subset histogram, once per call: 3^n visits.
     hist = [_subset_histogram(nbr, _star_field_width(n, n - 1)) for nbr in range(1 << n)]
     low = n - 1
     vertex0 = [
@@ -602,44 +580,57 @@ def _mask_keys(n: int, start: int, stop: int) -> Iterator[int]:
         | sum(inv[s.bit_count()] for v in range(low) if s >> v & 1) << a
         for s in range(1 << low)
     ]
-    for high in range(start >> low, -(-stop >> low)):
-        edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
-        nbr = _neighbour_masks(n, edges)
-        deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
-        for v in chain.from_iterable(edges):
-            num += inv[deg[v]]
-            turn[v] += inv[deg[v] + 1] - inv[deg[v]]
-        keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
-        for v in range(1, n):
-            d, m = deg[v], nbr[v]
-            delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
-            delta += hist[m | 1] - hist[m] << b
-            keys += [key + delta for key in keys]
-        lo = max(start - (high << low), 0)
-        yield from map(add, keys[lo : stop - (high << low)], vertex0[lo:])
+    for start, stop in ranges:
+        for high in range(start >> low, -(-stop >> low)):
+            edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
+            nbr = [0] * n
+            for u, v in edges:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+            deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
+            for v in chain.from_iterable(edges):
+                num += inv[deg[v]]
+                turn[v] += inv[deg[v] + 1] - inv[deg[v]]
+            keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
+            for v in range(1, n):
+                d, m = deg[v], nbr[v]
+                delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
+                delta += hist[m | 1] - hist[m] << b
+                keys += [key + delta for key in keys]
+            lo = max(start - (high << low), 0)
+            yield from map(add, keys[lo : stop - (high << low)], vertex0[lo:])
 
 
 def _sweep_masks(
-    n: int, start: int, stop: int, memo: dict, p_max: int, m_max: int, finish=lambda result: result
+    n: int, ranges: list, memo: dict, p_max: int, m_max: int, finish=lambda result: result
 ) -> Iterator[object]:
-    """The memo entries of the labeled graphs with masks start..stop-1, in
-    mask order: finish applied to the (theorems, errata) of each report.
+    """The memo entries of the labeled graphs with masks start..stop-1 for
+    each (start, stop) in ranges, in mask order: finish applied to the
+    (theorems, errata) of each report.
 
-    memo maps sweep keys to entries, as _profile_memo fills it with the
-    same finish.  A mask's key from _mask_keys fixes every input that
-    _profile_part reads, so the mask shares the entry of its key.  On a
-    miss, that graph is built, evaluated on its own key and finished, and
-    stored while memo holds fewer than SWEEP_MEMO_CAP entries.  Past the
-    cap, which only a faulty library reaches, each missing mask costs its
-    own evaluation, about 1 ms at n = 7, or 35 minutes if all 2^21 masks
-    miss: memory stays bounded and time grows instead.
+    memo maps sweep keys to entries made by the same finish, as
+    _profile_memo fills it by this sweep.  A mask's key from _mask_keys
+    fixes every input that _profile_part reads, so the mask shares the
+    entry of its key.  On a miss, that graph is built, evaluated on its own
+    key and finished, and stored while memo holds fewer than
+    SWEEP_MEMO_CAP entries.  Past the cap, which only a faulty library
+    reaches, each missing mask costs its own evaluation, about 1 ms at
+    n = 7, or 35 minutes if all 2^21 masks miss: memory stays bounded and
+    time grows instead.
     """
-    for mask, key in enumerate(_mask_keys(n, start, stop), start):
+    # Profiles whose checks all hold yield equal results, label for label,
+    # so each distinct result stored is kept once, with one cached pass status.
+    results: dict[TheoremResult, TheoremResult] = {}
+    masks = chain.from_iterable(starmap(range, ranges))
+    for mask, key in zip(masks, _mask_keys(n, ranges)):
         entry = memo.get(key)
         if entry is None:
-            entry = finish(_evaluate_key(labeled_graph_from_mask(n, mask), key, p_max, m_max))
+            theorems, errata = _evaluate_key(labeled_graph_from_mask(n, mask), key, p_max, m_max)
             if len(memo) < SWEEP_MEMO_CAP:
-                memo[key] = entry
+                theorems = tuple(results.setdefault(r, r) for r in theorems)
+                entry = memo[key] = finish((theorems, errata))
+            else:
+                entry = finish((theorems, errata))
         yield entry
 
 
@@ -659,5 +650,6 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     masks it skips are still swept.
     """
     memo = _profile_memo(n, p_max, m_max)
-    for mask, entry in enumerate(_sweep_masks(n, 0, 1 << (n * (n - 1) // 2), memo, p_max, m_max)):
+    everything = [(0, 1 << (n * (n - 1) // 2))]
+    for mask, entry in enumerate(_sweep_masks(n, everything, memo, p_max, m_max)):
         yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import binomial, surjection_row
 from .graph import FrequencySequence, Graph
@@ -214,25 +213,13 @@ def inverse_degree_edge_sum(g: Graph) -> Fraction:
     """sum over edges uv of (1/deg(u) + 1/deg(v)), as an exact rational.
 
     Equals n - f_0: each non-isolated vertex v contributes deg(v) terms of
-    1/deg(v), one per incident edge.  The terms are summed edge by edge as
-    integers over L, the lcm of the nonzero degrees, and divided once.
+    1/deg(v), one per incident edge.  Each edge uv adds L/deg(u) + L/deg(v),
+    integers over L, the lcm of the nonzero degrees, divided once.
     """
     degrees = g.vertex_degrees
     lcm = math.lcm(*filter(None, degrees))
     inverses = {d: lcm // d for d in set(degrees) if d}
-    return Fraction(_edge_sum_numerator(degrees, g.edges, inverses), lcm)
-
-
-def _edge_sum_numerator(
-    degrees: Sequence[int], edges: Iterable[tuple[int, int]], inverses: Mapping[int, int]
-) -> int:
-    """L times inverse_degree_edge_sum of the graph with these vertex
-    degrees and edges, where inverses[d] = L // d for each degree d of an
-    edge's end, for callers that keep both without building a Graph.
-
-    Each edge adds inverses[deg(u)] + inverses[deg(v)], term by term.
-    """
-    return sum([inverses[degrees[u]] + inverses[degrees[v]] for u, v in edges])
+    return Fraction(sum([inverses[degrees[u]] + inverses[degrees[v]] for u, v in g.edges]), lcm)
 
 
 def isolated_count_from_star(s: StarSequence) -> int:

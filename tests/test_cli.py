@@ -561,6 +561,38 @@ def test_exhaustive_sweep_reports_a_route_that_raises(capsys, c42_is_7):
     assert sum("/raised InconsistentSequenceError: " in line for line in fails) == hubs
 
 
+@pytest.mark.parametrize(
+    "name, theorem",
+    [("inverse_degree_edge_sum", "inverse_degree_sum"), ("star_counts_bruteforce", "star_bruteforce")],
+)
+def test_verify_reports_a_per_graph_route_that_raises_in_its_theorem_only(
+    tmp_path, capsys, monkeypatch, name, theorem
+):
+    # The edge sum and the brute-force star counts are read inside the one
+    # theorem that checks each, so a raise there fails that theorem; it is
+    # not a refused input.
+    def raising(g):
+        raise ValueError(f"{name} fault")
+
+    monkeypatch.setattr(oracle, name, raising)
+    src = write(tmp_path, "k5.txt", K5_EDGELIST)
+    rc = main(["verify", src, "--json"])
+    captured = capsys.readouterr()
+    report, summary = json_lines(captured.out)
+    assert rc == 1
+    assert captured.err == ""
+    assert summary["failures"] == 1
+    failed = {t for t, result in report["theorems"].items() if result["status"] == "fail"}
+    assert failed == {theorem}
+    label = f"raised ValueError: {name} fault"
+    assert report["theorems"][theorem]["residuals"] == {label: "1"}
+    assert len(report["errata"]) == 3
+    assert main(["verify", src]) == 1
+    out = capsys.readouterr().out
+    assert f"    FAIL {label} residual=1\n" in out
+    assert out.endswith(" failures=1 errata_observations=3 -> FAIL\n")
+
+
 def test_refusals_still_come_before_any_route(tmp_path, capsys, c42_is_7):
     src = write(tmp_path, "k1_20.txt", "21\n" + "".join(f"0 {i}\n" for i in range(1, 21)))
     assert main(["verify", src]) == 2

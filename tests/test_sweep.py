@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations, permutations, starmap
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
 from starzagreb.cli import main, render_report_line, report_to_dict
-from starzagreb.graph import FrequencySequence, Graph, frequency_sequence, to_graph6
+from starzagreb.graph import FrequencySequence, Graph, frequency_sequence, parse_graph6, to_graph6
 from starzagreb.oracle import (
     TheoremReport,
     labeled_graph_from_mask,
@@ -60,11 +60,13 @@ def per_graph_reports(n: int) -> list:
     ]
 
 
-def range_reports(n: int, start: int, stop: int, memo: dict) -> list[TheoremReport]:
-    """The reports of a pool task's mask range, swept against memo."""
+def range_reports(n: int, ranges: list[tuple[int, int]], memo: dict) -> list[TheoremReport]:
+    """The reports of the masks start..stop-1 of each (start, stop) in
+    ranges, swept against memo in one call, as a pool task sweeps its range."""
+    masks = chain.from_iterable(starmap(range, ranges))
     return [
         TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), 8, 4, *entry)
-        for mask, entry in enumerate(oracle._sweep_masks(n, start, stop, memo, 8, 4), start)
+        for mask, entry in zip(masks, oracle._sweep_masks(n, ranges, memo, 8, 4), strict=True)
     ]
 
 
@@ -139,7 +141,7 @@ def record_profile_parts(monkeypatch) -> list[tuple]:
     real = oracle._profile_part
 
     def counting(g, edge_sum, counts, *args):
-        calls.append((tuple(sorted(g.vertex_degrees)), edge_sum, counts))
+        calls.append((tuple(sorted(g.vertex_degrees)), edge_sum(), counts()))
         return real(g, edge_sum, counts, *args)
 
     monkeypatch.setattr(oracle, "_profile_part", counting)
@@ -178,7 +180,7 @@ def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
         assert len(oracle._profile_memo(n, 1, 0)) == profiles
     for n in range(1, 6):
         memo = oracle._profile_memo(n, 1, 0)
-        keys = set(oracle._mask_keys(n, 0, 1 << (n * (n - 1) // 2)))
+        keys = set(oracle._mask_keys(n, [(0, 1 << (n * (n - 1) // 2))]))
         assert set(memo) == keys
         graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
         assert {sweep_values(n, key) for key in memo} == graphs
@@ -192,8 +194,11 @@ def test_sweep_subrange_and_validation():
     with pytest.raises(TypeError):
         sweep_reports(4, 10, 20)
     memo = oracle._profile_memo(4, 8, 4)
-    assert range_reports(4, 10, 20, memo) == per_graph_reports(4)[10:20]
-    assert range_reports(3, 5, 5, oracle._profile_memo(3, 8, 4)) == []
+    assert range_reports(4, [(10, 20)], memo) == per_graph_reports(4)[10:20]
+    assert range_reports(3, [(5, 5)], oracle._profile_memo(3, 8, 4)) == []
+    # One call sweeps several ranges in order, as the memo prefill does.
+    reports = range_reports(4, [(3, 5), (5, 5), (40, 43), (63, 64)], memo)
+    assert reports == [per_graph_reports(4)[mask] for mask in (3, 4, 40, 41, 42, 63)]
     for args, kwargs in (
         ((0,), {}),
         ((oracle.MAX_ENUM_N + 1,), {}),
@@ -210,7 +215,7 @@ def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
     # memo's key of its profile.
     for n in range(1, 7):
         memo = oracle._profile_memo(n, 1, 0)
-        keys = list(oracle._mask_keys(n, 0, 1 << n * (n - 1) // 2))
+        keys = list(oracle._mask_keys(n, [(0, 1 << n * (n - 1) // 2)]))
         assert len(keys) == 1 << n * (n - 1) // 2
         for mask, key in enumerate(keys):
             assert sweep_values(n, key) == public_values(labeled_graph_from_mask(n, mask)), (n, mask)
@@ -235,12 +240,12 @@ def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
     # A pool task's range may start and stop mid-block, at any mask; a
     # block is the 64 masks that differ only in vertex 0's neighbours.
     stop = min(start + length, 1 << 21)
-    keys = list(oracle._mask_keys(7, start, stop))
+    keys = list(oracle._mask_keys(7, [(start, stop)]))
     assert [sweep_values(7, key) for key in keys] == [
         public_values(labeled_graph_from_mask(7, mask)) for mask in range(start, stop)
     ]
     assert all(key in memo7() for key in keys)
-    assert range_reports(7, start, stop, dict(memo7())) == [
+    assert range_reports(7, [(start, stop)], dict(memo7())) == [
         verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
         for mask in range(start, stop)
     ]
@@ -257,7 +262,7 @@ def test_passing_sweep_builds_no_graph(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counting)
-    entries = list(oracle._sweep_masks(5, 0, 1 << 10, memo, 8, 4))
+    entries = list(oracle._sweep_masks(5, [(0, 1 << 10)], memo, 8, 4))
     assert len(entries) == 1024
     assert all(r.passed for theorems, _ in entries for r in theorems)
     assert built == []
@@ -290,7 +295,7 @@ def test_sweep_table_unpacks_to_a_direct_subset_walk(monkeypatch):
     calls = record_histograms(monkeypatch)
     for n in range(1, oracle.MAX_ENUM_N + 1):
         calls.clear()
-        list(oracle._mask_keys(n, 0, 1))
+        list(oracle._mask_keys(n, [(0, 1)]))
         assert sorted(mask for mask, _, _ in calls) == list(range(1 << n))
         for mask, width, packed in calls:
             assert width == oracle._star_field_width(n, n - 1)
@@ -326,14 +331,29 @@ def test_star_field_width_holds_every_bucket():
 
 
 def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
+    # The table is built once per call, whether the call sweeps one range
+    # or several.
     memo = oracle._profile_memo(5, 8, 4)
     calls = record_histograms(monkeypatch)
-    assert len(list(oracle._sweep_masks(5, 0, 1 << 10, memo, 8, 4))) == 1024
+    assert len(list(oracle._sweep_masks(5, [(0, 1 << 10)], memo, 8, 4))) == 1024
     assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
     calls.clear()
-    list(oracle._sweep_masks(5, 0, 512, memo, 8, 4))
-    list(oracle._sweep_masks(5, 512, 1024, memo, 8, 4))
+    list(oracle._sweep_masks(5, [(0, 512)], memo, 8, 4))
+    list(oracle._sweep_masks(5, [(512, 1024)], memo, 8, 4))
     assert Counter(mask for mask, _, _ in calls) == Counter(2 * list(range(1 << 5)))
+    calls.clear()
+    assert len(list(oracle._sweep_masks(5, [(0, 512), (512, 1024)], memo, 8, 4))) == 1024
+    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
+
+
+def test_profile_memo_builds_one_table(monkeypatch):
+    # The prefill is one sweep of the 342 realization masks at n = 7, so it
+    # walks each of the 2^7 neighbour masks once: no per-vertex walk per
+    # profile, and no table rebuilt per realization.
+    calls = record_histograms(monkeypatch)
+    memo = oracle._profile_memo(7, 8, 4)
+    assert len(memo) == 342
+    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 7))
 
 
 def test_public_bruteforce_walks_each_centre_once(monkeypatch):
@@ -475,19 +495,24 @@ def test_profile_route_fault_fails_every_graph_of_that_profile(capsys, monkeypat
             assert [t["status"] for t in rec["theorems"].values()].count("fail") == 1
 
 
+def fault_on_claws(monkeypatch, name: str, bump) -> None:
+    """Make oracle's route name return bump of its result on the claws."""
+    real = getattr(oracle, name)
+
+    def faulty(*args):
+        result = real(*args)
+        return bump(result) if is_claw(args[0]) else result
+
+    monkeypatch.setattr(oracle, name, faulty)
+
+
 @pytest.mark.parametrize(
     "name, bump, theorems", PROFILE_ROUTE_FAULTS, ids=[c[0] for c in PROFILE_ROUTE_FAULTS]
 )
 def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
     capsys, monkeypatch, name, bump, theorems
 ):
-    real = getattr(oracle, name)
-
-    def off_by_one_on_claws(*args):
-        result = real(*args)
-        return bump(result) if is_claw(args[0]) else result
-
-    monkeypatch.setattr(oracle, name, off_by_one_on_claws)
+    fault_on_claws(monkeypatch, name, bump)
     rc, out = sweep_stdout(capsys, 4, "--json")
     records = json_lines(out)
     failed = {r["identifier"] for r in records[:-1] if not r["passed"]}
@@ -500,6 +525,62 @@ def test_each_profile_route_fault_fails_its_theorems_on_that_profile(
         if rec["identifier"] in failed:
             bad = {t for t, result in rec["theorems"].items() if result["status"] == "fail"}
             assert bad == theorems
+
+
+# One graph6 line for each of the 11 graphs on 4 vertices, up to
+# isomorphism; the claw K_{1,3} is the only one with CLAW_PROFILE.
+CORPUS_4 = ["C?", "C_", "Co", "Cs", "Cw", "CK", "Ck", "C{", "C]", "C}", "C~"]
+
+
+def refuse(result):
+    raise ValueError("refused on the claw")
+
+
+# The two per-graph routes verify_all_identities calls, each made to raise
+# on the claws: each must fail its own theorem and no other.
+PER_GRAPH_ROUTE_RAISES = [
+    ("inverse_degree_edge_sum", refuse, {"inverse_degree_sum"}),
+    ("star_counts_bruteforce", refuse, {"star_bruteforce"}),
+]
+
+
+def test_corpus_4_holds_each_graph_on_4_vertices_once():
+    def canonical(g):
+        return min(
+            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+            for p in permutations(range(4))
+        )
+
+    graphs = [parse_graph6(line) for line in CORPUS_4]
+    assert {canonical(g) for g in graphs} == {canonical(g) for g in oracle.all_labeled_graphs(4)}
+    assert len(graphs) == 11
+    assert [is_claw(g) for g in graphs].count(True) == 1
+
+
+@pytest.mark.parametrize(
+    "name, bump, theorems",
+    PROFILE_ROUTE_FAULTS + PER_GRAPH_ROUTE_RAISES,
+    ids=[c[0] for c in PROFILE_ROUTE_FAULTS + PER_GRAPH_ROUTE_RAISES],
+)
+def test_each_route_fault_fails_its_theorems_in_per_graph_verify(
+    tmp_path, capsys, monkeypatch, name, bump, theorems
+):
+    # The same faults as the sweep's, through verify on a graph6 corpus:
+    # exactly the claw's line fails, in the same theorems.
+    fault_on_claws(monkeypatch, name, bump)
+    src = tmp_path / "corpus4.g6"
+    src.write_text("\n".join(CORPUS_4) + "\n")
+    rc = main(["verify", str(src), "--json"])
+    captured = capsys.readouterr()
+    records = json_lines(captured.out)
+    assert rc == 1
+    assert captured.err == ""
+    assert len(records) == 12
+    failed = [r for r in records[:-1] if not r["passed"]]
+    assert [r["identifier"] for r in failed] == [f"{src}:{CORPUS_4.index('Cs') + 1}"]
+    bad = {t for t, result in failed[0]["theorems"].items() if result["status"] == "fail"}
+    assert bad == theorems
+    assert records[-1]["failures"] == 1
 
 
 # Each per-graph check, named after its public function, and a way to put
@@ -523,20 +604,25 @@ PER_GRAPH_FAULTS = [
 
 
 def fault_mask_keys(monkeypatch, fault) -> None:
-    """Make the sweep's block core yield fault(mask, key) for each mask's key."""
+    """Make the sweep's block core yield fault(mask, key) for each mask's
+    key, in the memo prefill too: each key is paired with its mask across
+    all the ranges of a call."""
     real = oracle._mask_keys
 
-    def faulty(n, start, stop):
-        for mask, key in enumerate(real(n, start, stop), start):
+    def faulty(n, ranges):
+        masks = chain.from_iterable(starmap(range, ranges))
+        for mask, key in zip(masks, real(n, ranges), strict=True):
             yield fault(mask, key)
 
     monkeypatch.setattr(oracle, "_mask_keys", faulty)
 
 
 # Masks 11 and 56 are the first and the last of the four labeled graphs
-# forming a triangle plus an isolated vertex at n = 4: a fault on mask 56
-# comes after the profile's passing results are already memoised.  The
-# mask-11 cases keep the ids they had before mask 56 was added.
+# forming a triangle plus an isolated vertex at n = 4.  Mask 11 is that
+# profile's Havel-Hakimi realization, so its fault goes into the memo
+# prefill itself; a fault on mask 56 comes after the profile's passing
+# results are already memoised.  The mask-11 cases keep the ids they had
+# before mask 56 was added.
 @pytest.mark.parametrize(
     "name, theorem, label, bump, mask",
     [
@@ -554,6 +640,8 @@ def test_per_graph_fault_fails_exactly_that_graph(
     profile = masks_with_profile(4, frequency_sequence(target).counts)
     assert len(profile) == 4
     assert mask in (min(profile), max(profile))
+    # Edges (0,1), (0,2) and (1,2) are bits 0, 1 and 3: mask 11 alone.
+    assert (oracle._realize(4, (2, 2, 2, 0)) == target) == (mask == 11)
     fault_mask_keys(monkeypatch, lambda m, key: bump(key) if m == mask else key)
     rc, out = sweep_stdout(capsys, 4)
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -566,14 +654,8 @@ def test_per_graph_fault_fails_exactly_that_graph(
 
 def add_edge_sum_fault(monkeypatch) -> None:
     """Make the edge sum add (sum of u*v over the edges mod 3), a fault
-    that depends on the graph, not only on its profile: both in the core
-    that keys the memo's realizations and in each n = 6 mask's sweep key."""
-    real = oracle._edge_sum_numerator
-
-    def faulty(degrees, edges, inverses):
-        return real(degrees, edges, inverses) + sum(u * v for u, v in edges) % 3 * inverses[1]
-
-    monkeypatch.setattr(oracle, "_edge_sum_numerator", faulty)
+    that depends on the graph, not only on its profile, in each n = 6
+    mask's sweep key: the memo prefill's realizations' keys too."""
     pairs = list(combinations(range(6), 2))
     _, a, _, scale = oracle._key_layout(6)
 
