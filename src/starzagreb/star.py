@@ -34,7 +34,7 @@ __all__ = [
 
 
 class InconsistentSequenceError(ValueError):
-    """A star or frequency sequence that cannot come from any simple graph."""
+    """Raised for an odd degree sum or a forced negative count, the only checks made."""
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,8 @@ def classify(s: StarSequence) -> Classification:
     A path has S_1 = n-1, S_2 = n-2 and nothing above; a k-regular graph
     has S_i = C(k, i) * S_k up to the largest nonzero index k, with
     2*S_1 = k * S_k.  P_2 satisfies both tests and reports as a path.
+    For k >= 2 the test ignores isolated vertices (K_3 + K_1 is regular(2)),
+    but regular(1) needs 2*S_1 = n, so K_2 + K_1 is other.
     """
     if s.n < 2:
         raise ValueError("classification needs at least two vertices")

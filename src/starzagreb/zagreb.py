@@ -2,14 +2,13 @@
 plus the rational generating function of the whole sequence (Z_p)_{p>=0}.
 
 The generating function is N(t) / ((1-t)(1-2t)...(1-nt)) with deg N <= n.
-Its denominator drives an order-n linear recurrence that extends Z_p to
-arbitrary exponents without computing a single p-th power.  The paper's
-Stirling form of that recurrence is built by `recurrence_coeffs` and checked
-by `verify_recurrence`.  That fraction is never in lowest terms: Z(t) is
-f_0 + sum_{d in D} f_d / (1 - dt) over the set D of distinct positive
-degrees, so only the factors (1 - dt) with d in D survive reduction.
-`zagreb_by_recurrence` runs that order-|D| recurrence factor by factor,
-dividing the reduced numerator by each (1 - dt) in turn.
+Its denominator drives the paper's order-n linear recurrence, whose
+Stirling form `recurrence_coeffs` builds and `verify_recurrence` checks.
+That fraction is never in lowest terms: Z(t) = f_0 + sum_{d in D} f_d /
+(1 - dt) over the set D of distinct positive degrees.  So both other
+routes start from the reduced numerator R(t) = Z(t) prod_{d in D} (1 - dt),
+of degree at most |D|: `genfunc_numerator` multiplies in (1 - jt) for each
+j in 1..n outside D, and `zagreb_by_recurrence` divides by each (1 - dt).
 """
 
 from __future__ import annotations
@@ -82,22 +81,35 @@ class ZagrebGenFunc:
         return ["1-t"] + [f"1-{j}t" for j in range(2, self.n + 1)]
 
 
-def genfunc_numerator(g: Graph) -> ZagrebGenFunc:
-    """Numerator coefficients a_k = sum_{i<=k} s(n+1, n+1-(k-i)) Z_i, k = 0..n.
+def _times_factor(series: list[int], d: int) -> None:
+    """Multiply series by (1 - dt) in place, truncated at its own length."""
+    for k in range(len(series) - 1, 0, -1):
+        series[k] -= d * series[k - 1]
 
-    Z_p = sum_d f_d d^p over the distinct degrees d, as in zagreb_direct,
-    by running products: each term f_d d^p starts at f_d (so 0^0 = 1) and
-    is multiplied by its d once per step.
-    """
-    n, counts = g.n, g.frequency.counts
+
+def _reduced_numerator(g: Graph) -> tuple[list[int], list[int]]:
+    """R(t) = Z(t) prod_{d in D} (1 - dt) and D in ascending order.  R needs
+    only Z_0..Z_|D|, formed as running products: each term f_d d^p starts at
+    f_d (so 0^0 = 1) and is multiplied by its d once per step."""
+    counts = g.frequency.counts
     degrees = [d for d, c in enumerate(counts) if c]
-    terms, z = [c for c in counts if c], []
-    for _ in range(n + 1):
-        z.append(sum(terms))
+    factors, terms, num = [d for d in degrees if d], [c for c in counts if c], []
+    for _ in range(len(factors) + 1):
+        num.append(sum(terms))
         terms = list(map(mul, terms, degrees))
-    c = [1, *recurrence_coeffs(n)]
-    num = tuple(sum(c[k - i] * z[i] for i in range(k + 1)) for k in range(n + 1))
-    return ZagrebGenFunc(n=n, numerator=num)
+    for d in factors:
+        _times_factor(num, d)
+    return num, factors
+
+
+def genfunc_numerator(g: Graph) -> ZagrebGenFunc:
+    """Numerator a_0..a_n of Z(t) over (1-t)(1-2t)...(1-nt): the reduced
+    numerator times (1 - jt) for each j in 1..n outside D, no Stirling row."""
+    num, factors = _reduced_numerator(g)
+    num += [0] * (g.n - len(factors))
+    for j in set(range(1, g.n + 1)).difference(factors):
+        _times_factor(num, j)
+    return ZagrebGenFunc(n=g.n, numerator=tuple(num))
 
 
 def recurrence_coeffs(n: int) -> list[int]:
@@ -113,32 +125,18 @@ def recurrence_coeffs(n: int) -> list[int]:
 
 
 def zagreb_by_recurrence(g: Graph, p: int) -> int:
-    """Z_p via the order-|D| recurrence in factored form, seeded with direct values.
-
-    D is the set of distinct positive degrees and r = |D|.  Returns the
-    direct value for p <= r.  Beyond that, the numerator a_0..a_r of
-    Z(t) prod_{d in D} (1 - dt), a polynomial of degree at most r, is formed
-    from Z_0..Z_r by multiplying in one factor (1 - dt) at a time, truncated
-    at t^r.  Then that numerator is streamed through r running quotients,
-    one per factor in ascending d: dividing by (1 - dt) is
-    y_k = x_k + d y_{k-1}, and each quotient grows like the largest degree
-    already divided out, so the small ones go first.  Every big-integer
-    step multiplies by a small d < n, memory stays at r + 1 integers for
-    any exponent, and direct values are read only at q <= r, so no p-th
-    power is ever formed.
-    """
+    """Z_p via the order-|D| recurrence in factored form: the reduced
+    numerator streams through one running quotient per d in D, ascending,
+    and the t^p coefficient of the last is Z_p.  Dividing by (1 - dt) is
+    y_k = x_k + d y_{k-1}; each quotient grows like the largest degree
+    already divided out, so the small ones go first.  Every step multiplies
+    by a small d < n, memory stays at |D| + 1 integers, and no p-th power
+    is ever formed."""
     if p < 0:
         raise ValueError("exponent must be a non-negative integer")
-    factors = [d for d, c in enumerate(g.frequency.counts) if c and d]
-    r = len(factors)
-    if p <= r:
-        return zagreb_direct(g, p)
-    num = [zagreb_direct(g, q) for q in range(r + 1)]
-    for d in factors:
-        for k in range(r, 0, -1):
-            num[k] -= d * num[k - 1]
-    carry = [0] * r
-    for x in chain(num, repeat(0, p - r)):
+    num, factors = _reduced_numerator(g)
+    carry = [0] * len(factors)
+    for x in chain(num[: p + 1], repeat(0, p + 1 - len(num))):
         for i, d in enumerate(factors):
             x += d * carry[i]
             carry[i] = x

@@ -2,11 +2,14 @@
 
 parse_graph6 selects its edges from a table of vertex pairs by the 0/1
 bytes of each character, star_sequence adds one binomial row per distinct
-degree, and genfunc_numerator forms Z_0..Z_n as running products over the
-distinct degrees.  The per-bit decoder, the per-vertex binomial star count
-and the numerator from zagreb_direct's values below are the code they
-replaced, kept here as references: exhaustively for n <= 6, by hypothesis
-up to n = 62, and against networkx's graph6 decoder where it is installed.
+degree, and genfunc_numerator takes the reduced numerator
+R(t) = Z(t) prod_{d in D} (1 - dt) over the distinct positive degrees D,
+formed from running products Z_0..Z_|D|, times the factors (1 - jt) with
+j outside D.  The per-bit decoder, the per-vertex binomial star count and
+the Stirling convolution of zagreb_direct's values below are the code
+they replaced, kept here as references: exhaustively for n <= 6, by
+hypothesis up to n = 62, and against networkx's graph6 decoder where it is
+installed.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import starzagreb.combinatorics as combinatorics_module
+import starzagreb.zagreb as zagreb_module
 from starzagreb.combinatorics import binomial
 from starzagreb.graph import GRAPH6_HEADER, Graph, GraphFormatError, parse_graph6, to_graph6
 from starzagreb.oracle import _realize, all_labeled_graphs, series_expand_rational
 from starzagreb.star import StarSequence, _binomial_row, star_sequence
 from starzagreb.zagreb import genfunc_numerator, recurrence_coeffs, zagreb_direct
+from tests.named import complete, edgeless, star
 from tests.strategies import graphs
 
 try:
@@ -98,22 +104,33 @@ def test_fast_paths_agree_with_the_slow_paths_on_every_labeled_graph():
             assert star_sequence(g) == per_vertex_star_sequence(g), line
 
 
+def refuse_stirling(*args):
+    raise AssertionError("genfunc_numerator read a Stirling row")
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_genfunc_z_table_equals_zagreb_direct_on_every_profile(n):
+def test_genfunc_z_table_equals_zagreb_direct_on_every_profile(n, monkeypatch):
     profiles = profile_graphs(n)
     assert len(profiles) == [1, 2, 4, 11, 31, 102][n - 1]  # OEIS A004251
-    for g in profiles:
+    expected = [direct_numerator(g) for g in profiles]
+    monkeypatch.setattr(zagreb_module, "recurrence_coeffs", refuse_stirling)
+    monkeypatch.setattr(zagreb_module, "stirling1_rows", refuse_stirling)
+    monkeypatch.setattr(combinatorics_module, "stirling1_rows", refuse_stirling)
+    for g, direct in zip(profiles, expected):
         numerator = genfunc_numerator(g).numerator
-        # The numerator is the Z table convolved with a row whose first
-        # entry is 1, so expanding it back over the denominator gives the
-        # table itself.
+        # The numerator is the Z table times the denominator, truncated at
+        # t^n, so expanding it back over the denominator gives the table.
         assert series_expand_rational(numerator, n, n + 1) == [
             zagreb_direct(g, p) for p in range(n + 1)
         ], g.vertex_degrees
-        assert numerator == direct_numerator(g), g.vertex_degrees
+        assert numerator == direct, g.vertex_degrees
 
 
 @given(graphs(max_n=62))
+@example(star(61))  # D = {1, 61}
+@example(Graph.from_edges(62, [(u, v) for u in range(31) for v in range(31, 62)]))  # D = {31}
+@example(complete(62))  # D = {61}
+@example(edgeless(62))  # D is empty
 @settings(max_examples=60, deadline=None)
 def test_star_sequence_and_numerator_agree_with_the_slow_paths(g):
     assert star_sequence(g) == per_vertex_star_sequence(g)

@@ -11,6 +11,7 @@ from hypothesis import given
 import starzagreb.combinatorics as combinatorics_module
 import starzagreb.oracle as oracle
 import starzagreb.star as star_module
+import starzagreb.zagreb as zagreb_module
 from starzagreb.combinatorics import falling_factorial_coeffs
 from starzagreb.graph import Graph, to_graph6
 from starzagreb.star import star_sequence
@@ -343,6 +344,21 @@ def test_a_route_that_raises_fails_each_theorem_that_reads_it(monkeypatch):
     assert {t.name for t in report.theorems if t.passed} == {"genfunc", "recurrence"}
     # The erratum notes read the star sequence too, so they are left out.
     assert report.errata == ()
+
+
+def test_a_faulty_stirling_row_fails_only_the_recurrence(monkeypatch):
+    # genfunc_numerator reads no Stirling row, so the residual at p = n sets
+    # the Stirling form against the numerator formed from the degrees.
+    real = zagreb_module.recurrence_coeffs
+
+    def off_by_one(n):
+        c1, *rest = real(n)
+        return [c1 + 1, *rest]
+
+    monkeypatch.setattr(zagreb_module, "recurrence_coeffs", off_by_one)
+    report = verify_all_identities(star(3))
+    assert {name for name, _ in report.failures()} == {"recurrence"}
+    assert "residual_p=4" in {check.label for _, check in report.failures()}
 
 
 def test_a_fault_in_an_erratum_note_itself_propagates(monkeypatch):

@@ -288,9 +288,11 @@ def _is_path(g) -> bool:
 
 
 def test_classify_sees_sequences_not_graphs():
-    # C_3 + K_2 on 5 vertices has exactly the star sequence of P_5,
-    # and K_3 plus an isolated vertex fits the 2-regular shape; the
-    # classifier works from counts alone and cannot tell these apart.
+    # C_3 + K_2 on 5 vertices has exactly the star sequence of P_5, and
+    # the classifier works from counts alone, so it cannot tell them apart.
+    # K_3 plus an isolated vertex has its own counts (S fixes
+    # f = (1, 0, 3, 0)), but for k >= 2 the regular test ignores isolated
+    # vertices, so it reports regular(2); regular(1) does not ignore them.
     from starzagreb.graph import Graph
 
     blended = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
@@ -298,7 +300,9 @@ def test_classify_sees_sequences_not_graphs():
     assert classify(star_sequence(blended)).label == "path"
 
     padded = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert frequency_from_star(star_sequence(padded)).counts == (1, 0, 3, 0)
     assert classify(star_sequence(padded)).label == "regular(2)"
+    assert classify(star_sequence(Graph.from_edges(3, [(0, 1)]))).label == "other"
 
     # 2S_1 = 3 * S_3 fits the 3-regular shape, but S_2 != C(3, 2) * S_3.
     assert classify(StarSequence(5, 3, (5, 2, 0))).label == "other"

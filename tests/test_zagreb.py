@@ -17,6 +17,7 @@ from starzagreb.graph import Graph, frequency_sequence
 from starzagreb.star import alternating_moment, moment_identity_rhs, star_sequence
 from starzagreb.zagreb import (
     ZagrebGenFunc,
+    _reduced_numerator,
     genfunc_numerator,
     recurrence_coeffs,
     verify_recurrence,
@@ -312,36 +313,35 @@ def test_recurrence_route_at_n_plus_one():
         assert_route_edge_case(g, [g.n, g.n + 1])
 
 
+def refuse_direct(g, q):
+    raise AssertionError(f"the recurrence route read the direct value Z_{q}")
+
+
 def test_recurrence_route_reads_direct_values_only_up_to_n(monkeypatch):
     # route_p compares this route with direct powers; that check means
-    # nothing if the route itself falls back to direct powers past q = n.
-    exponents = []
-
-    def recording(g, q):
-        exponents.append(q)
-        return zagreb_direct(g, q)
-
-    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", recording)
+    # nothing if the route itself falls back to direct powers.  Its seeds
+    # are running products, so it reads no direct value at all.
     g = seeded_graph(30, 0.4, 20260901)
-    assert zagreb_by_recurrence(g, 500) == zagreb_direct(g, 500)
-    assert exponents and max(exponents) <= g.n, max(exponents)
+    expected = zagreb_direct(g, 500)
+    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", refuse_direct)
+    assert zagreb_by_recurrence(g, 500) == expected
 
 
 def test_recurrence_route_reads_direct_values_only_up_to_distinct_degrees(monkeypatch):
-    # The route divides only by the factors (1 - dt) with d in D, so it
-    # seeds from Z_0..Z_r with r = |D| and never reads a direct value past.
-    exponents = []
-
-    def recording(g, q):
-        exponents.append(q)
-        return zagreb_direct(g, q)
-
-    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", recording)
-    for g in (seeded_graph(30, 0.4, 20260901), star(61), k2_plus_isolated(), edgeless(6)):
-        r = len(distinct_degrees(g))
-        exponents.clear()
-        assert zagreb_by_recurrence(g, 500) == zagreb_direct(g, 500)
-        assert exponents and max(exponents) <= r < g.n, (g, max(exponents))
+    # The route divides only by the factors (1 - dt) with d in D, so its
+    # reduced numerator holds r + 1 = |D| + 1 coefficients, formed from
+    # Z_0..Z_r as running products, and no direct value is read.
+    exponents = [0, 1, 2, 3, 61, 62, 500]
+    cases = [
+        (g, [zagreb_direct(g, p) for p in exponents])
+        for g in (seeded_graph(30, 0.4, 20260901), star(61), k2_plus_isolated(), edgeless(6))
+    ]
+    monkeypatch.setattr("starzagreb.zagreb.zagreb_direct", refuse_direct)
+    for g, expected in cases:
+        num, factors = _reduced_numerator(g)
+        assert factors == distinct_degrees(g)
+        assert len(num) == len(factors) + 1 < g.n + 1, g
+        assert [zagreb_by_recurrence(g, p) for p in exponents] == expected, g
 
 
 def test_recurrence_route_memory_stays_order_n_at_high_exponent():
