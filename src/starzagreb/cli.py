@@ -5,13 +5,14 @@ processing, and exhaustive verification sweeps.
     starzagreb zagreb GRAPH --p P [--method direct|star|recurrence|all] [--json]
     starzagreb genfunc GRAPH [--json]
     starzagreb verify GRAPH [--p-max P] [--m-max M] [--jobs J] [--json]
-    starzagreb verify --exhaustive --n N [--p-max P] [--m-max M] [--jobs J] [--json]
+    starzagreb verify --exhaustive --n N [--p-max P] [--m-max M] [--json]
 
 Graphs come from edge-list files (first significant line is the vertex
 count, then one "u v" pair per line, '#' comments allowed) or from graph6
 files (one graph per line, each processed independently; a bad line yields
 an error record, not an abort).  The format is inferred from a .g6 suffix
-and can be forced with --format.
+and can be forced with --format.  --jobs spreads a graph6 batch over
+worker processes; an exhaustive sweep accepts it and runs in process.
 
 With --json each graph yields one JSON document per line; unbounded
 integer values are rendered as decimal strings so nothing overflows on the
@@ -45,8 +46,7 @@ from .oracle import (
     MAX_VERIFY_EXPONENT,
     TheoremReport,
     _check_limits,
-    _profile_memo,
-    _sweep_masks,
+    _sweep_all,
     verify_all_identities,
 )
 from .star import Classification, classify, star_sequence
@@ -444,14 +444,6 @@ def _render_entry(p_max: int, m_max: int, as_json: bool, result: tuple) -> tuple
     return (render(report), *_report_tallies(report))
 
 
-def _verify_mask_range(task: tuple[int, int, int, dict, int, int, bool]) -> Iterator[tuple]:
-    """The memo entries of masks start..stop-1, finished by _render_entry;
-    pickle writes a recurring entry once, so a pool sends no line per mask."""
-    n, start, stop, memo, p_max, m_max, as_json = task
-    finish = partial(_render_entry, p_max, m_max, as_json)
-    return _sweep_masks(n, [(start, stop)], memo, p_max, m_max, finish)
-
-
 def _sweep_outcomes(n: int, as_json: bool, entries: Iterator[tuple]) -> Iterator[_Outcome]:
     """Outcomes for the memo entries of masks 0, 1, 2, ... on n vertices, one
     per SWEEP_BLOCK masks.  One entry's reports differ only in identifier,
@@ -565,9 +557,6 @@ def _map_tasks(fn, tasks: Iterable, jobs: int) -> Iterator:
             process.terminate()
 
 
-# Largest mask range of one exhaustive-sweep task.  Each task is sent the
-# memo prefilled and rendered here, so a range repeats no profile work.
-SWEEP_RANGE = 1 << 12
 # Most graphs one sweep outcome carries.
 SWEEP_BLOCK = 256
 
@@ -587,15 +576,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--exhaustive requires --n")
         if not 1 <= args.n <= MAX_ENUM_N:
             return _usage_error(f"--n must be between 1 and {MAX_ENUM_N}")
+        # Workers could take over only the keys and memo lookups, never the
+        # formatting of each mask's line, so the sweep runs here at any --jobs.
         finish = partial(_render_entry, args.p_max, args.m_max, args.json)
-        memo = _profile_memo(args.n, args.p_max, args.m_max, finish)
-        nmasks = 1 << (args.n * (args.n - 1) // 2)
-        size = min(SWEEP_RANGE, max(1, nmasks >> 3))
-        ranges = (
-            (args.n, lo, min(lo + size, nmasks), memo, args.p_max, args.m_max, args.json)
-            for lo in range(0, nmasks, size)
-        )
-        outcomes = _sweep_outcomes(args.n, args.json, _map_tasks(_verify_mask_range, ranges, args.jobs))
+        entries = _sweep_all(args.n, args.p_max, args.m_max, finish)
+        outcomes = _sweep_outcomes(args.n, args.json, entries)
     else:
         if args.n is not None:
             return _usage_error("--n only applies with --exhaustive")
@@ -684,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=None, help=f"vertex count for --exhaustive (at most {MAX_ENUM_N})")
     p_ver.add_argument("--p-max", dest="p_max", type=int, default=8, help=f"largest Zagreb exponent checked (at most {MAX_VERIFY_EXPONENT})")
     p_ver.add_argument("--m-max", dest="m_max", type=int, default=4, help=f"largest moment exponent checked (at most {MAX_VERIFY_EXPONENT})")
-    p_ver.add_argument("--jobs", type=int, default=1, help="worker processes for batch/exhaustive runs")
+    p_ver.add_argument("--jobs", type=int, default=1, help="worker processes for graph6 batches; no effect with --exhaustive")
     p_ver.set_defaults(handler=cmd_verify)
 
     return parser

@@ -22,8 +22,7 @@ _mask_keys builds a sweep key: every key part is additive over vertex
 0's neighbours, so each block of masks that differ only there takes one
 addition per key.  A key the memo lacks is evaluated on its graph and,
 up to a cap, filled in.  The memo is prefilled by sweeping one mask per
-profile, its Havel-Hakimi realization, and worker processes are sent
-the prefilled memo, each sweeping a range of masks.
+profile, its Havel-Hakimi realization.
 """
 
 from __future__ import annotations
@@ -634,6 +633,14 @@ def _sweep_masks(
         yield entry
 
 
+def _sweep_all(n: int, p_max: int, m_max: int, finish=lambda result: result) -> Iterator[object]:
+    """The memo entries of every labeled graph on n vertices, in mask
+    order, swept in one range against the memo _profile_memo prefills
+    with the same finish."""
+    memo = _profile_memo(n, p_max, m_max, finish)
+    return _sweep_masks(n, [(0, 1 << n * (n - 1) // 2)], memo, p_max, m_max, finish)
+
+
 def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[TheoremReport]:
     """Reports for every labeled graph on n vertices, in mask order.
 
@@ -649,7 +656,5 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     SWEEP_MEMO_CAP entries.  itertools.islice reads part of a sweep; the
     masks it skips are still swept.
     """
-    memo = _profile_memo(n, p_max, m_max)
-    everything = [(0, 1 << (n * (n - 1) // 2))]
-    for mask, entry in enumerate(_sweep_masks(n, everything, memo, p_max, m_max)):
+    for mask, entry in enumerate(_sweep_all(n, p_max, m_max)):
         yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

@@ -8,7 +8,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -62,7 +61,7 @@ def per_graph_reports(n: int) -> list:
 
 def range_reports(n: int, ranges: list[tuple[int, int]], memo: dict) -> list[TheoremReport]:
     """The reports of the masks start..stop-1 of each (start, stop) in
-    ranges, swept against memo in one call, as a pool task sweeps its range."""
+    ranges, swept against memo in one call."""
     masks = chain.from_iterable(starmap(range, ranges))
     return [
         TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), 8, 4, *entry)
@@ -383,7 +382,7 @@ def test_public_bruteforce_masks_stay_degree_wide_on_a_long_path(monkeypatch):
 
 
 def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
-    # Two workers even on a one-core machine, so the pool path runs.
+    # Two cores even on a one-core machine, so --jobs 2 is not clamped to 1.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for extra in ((), ("--json",)):
         single = sweep_stdout(capsys, 4, "--jobs", "1", *extra)
@@ -734,18 +733,31 @@ def use_pool(monkeypatch, pool=RecordingPool) -> None:
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
 
 
+def graph6_batch(tmp_path, lines: int) -> Path:
+    """A graph6 file of the labeled graphs on 5 vertices with masks 0 ..
+    lines - 1: verify reads it in chunks of 128 lines, one pool task each."""
+    src = tmp_path / f"batch{lines}.g6"
+    src.write_text("".join(to_graph6(labeled_graph_from_mask(5, m)) + "\n" for m in range(lines)))
+    return src
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Only the worker pool needs multiprocessing, so the CLI loads it there;
-    # the pool tests below patch concurrent.futures for that reason.
-    # The probe also lists the top-level modules the import adds from outside
-    # the standard library: the package has no runtime dependency.  Modules
-    # the interpreter preloads at start-up are taken out first.
+    # the pool tests below patch concurrent.futures for that reason.  An
+    # exhaustive sweep starts no pool, so it loads none even at --jobs 2 on
+    # two cores.  The probe also lists the top-level modules the import adds
+    # from outside the standard library: the package has no runtime
+    # dependency.  Modules the interpreter preloads at start-up are taken
+    # out first.
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (
         "import sys; before = set(sys.modules); import starzagreb, starzagreb.cli; "
         "print('multiprocessing' in sys.modules); "
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
-        "print(sorted(added - set(sys.stdlib_module_names) - {'starzagreb'}))"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'starzagreb'})); "
+        "starzagreb.cli.os.cpu_count = lambda: 2; "
+        "rc = starzagreb.cli.main(['verify', '--exhaustive', '--n', '4', '--jobs', '2']); "
+        "print(rc, 'multiprocessing' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -754,33 +766,50 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n[]\n"
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["False", "[]"]
+    assert lines[-2].startswith("summary: graphs=64 ")
+    assert lines[-1] == "0 False"
 
 
 @pytest.mark.parametrize(
     "cpus, argv, expected",
     [
-        # 64 masks in 8 ranges: the pool is capped by the core count.
-        (4, ["verify", "--exhaustive", "--n", "4", "--jobs", "1000000000"], [4]),
-        # 2 masks in 2 ranges: capped by the number of tasks.
-        (4, ["verify", "--exhaustive", "--n", "2", "--jobs", "3"], [2]),
+        # argv[1] is the number of lines in a graph6 batch, 128 to a chunk.
+        # 640 lines in 5 chunks: the pool is capped by the core count.
+        (4, ["verify", 640, "--jobs", "1000000000"], [4]),
+        # 200 lines in 2 chunks: capped by the number of chunks.
+        (4, ["verify", 200, "--jobs", "3"], [2]),
         # An unknown core count means one worker, so no pool at all.
-        (None, ["verify", "--exhaustive", "--n", "4", "--jobs", "8"], []),
+        (None, ["verify", 640, "--jobs", "8"], []),
     ],
 )
-def test_jobs_clamped_to_cores_and_tasks(capsys, monkeypatch, cpus, argv, expected):
-    rc, baseline = main(argv[:-2]), capsys.readouterr().out
+def test_jobs_clamped_to_cores_and_tasks(tmp_path, capsys, monkeypatch, cpus, argv, expected):
+    command, lines, *jobs = argv
+    argv = [command, str(graph6_batch(tmp_path, lines)), "--p-max", "1", "--m-max", "0"]
+    rc, baseline = main(argv), capsys.readouterr().out
     use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert main(argv) == rc == 0
+    assert main(argv + jobs) == rc == 0
     assert capsys.readouterr().out == baseline
     assert RecordingPool.sizes == expected
 
 
+def test_exhaustive_sweep_starts_no_pool(capsys, monkeypatch):
+    # A sweep runs in process at any --jobs: workers could take over only
+    # its keys and memo lookups, never the formatting of each mask's line.
+    use_pool(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    rc, out = sweep_stdout(capsys, 4, "--jobs", "8")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[4][0]
+    assert RecordingPool.sizes == []
+
+
 def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatch):
-    # The memo of every profile is filled before the first task and sent
-    # with each mask range, so the pool's eight ranges at n = 5 evaluate
-    # none of the 31 degree profiles again.
+    # The memo of every profile is filled before the first mask, and --jobs 2
+    # starts no pool, so the sweep at n = 5 evaluates none of the 31 degree
+    # profiles again.
     use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     calls = record_profile_parts(monkeypatch)
@@ -788,15 +817,15 @@ def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatc
     assert rc == 0
     assert "summary: graphs=1024 " in out
     assert len(calls) == len(set(calls)) == len({c[0] for c in calls}) == 31
-    assert RecordingPool.sizes == [2]
+    assert RecordingPool.sizes == []
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
 def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
     # The memo is finished, rendered text or JSON, where it is filled, so a
     # sweep renders each of the 31 degree profiles at n = 5 (OEIS A004251)
-    # once, in process and through the pool's eight mask ranges alike; per
-    # graph only the identifier, n and m are formatted.
+    # once, at either --jobs; per graph only the identifier, n and m are
+    # formatted.
     name = "report_to_dict" if extra else "_report_verdict"
     calls = []
     real = getattr(cli, name)
@@ -808,47 +837,13 @@ def test_sweep_renders_each_entry_once_per_sweep(capsys, monkeypatch, extra):
     monkeypatch.setattr(cli, name, counting)
     use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for jobs, pools in (("1", []), ("2", [2])):
+    for jobs in ("1", "2"):
         calls.clear()
-        RecordingPool.sizes.clear()
         rc, out = sweep_stdout(capsys, 5, "--jobs", jobs, *extra)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[5][bool(extra)]
-        assert RecordingPool.sizes == pools
+        assert RecordingPool.sizes == []
         assert len(calls) == len({id(r.theorems) for r in calls}) == 31, jobs
-
-
-@pytest.mark.parametrize(
-    "extra, digest",
-    [
-        ((), "0a49cc2839aeff511030c6daa361e77b349797a45fb8eaa55dc01462363501a0"),
-        (("--json",), "84926df74274ed6bee1821ee44b0f4488db43f57653db654c96631e4501606e8"),
-    ],
-    ids=["text", "json"],
-)
-def test_pool_results_pickle_each_entry_once(capsys, monkeypatch, extra, digest):
-    # A pool task sends its range back as one pickled list of memo entries,
-    # and pickle writes a recurring entry once, so a result is its distinct
-    # entries plus a few bytes per mask.  A 4,096-mask range of rendered
-    # --json lines pickled to about 10 MB.
-    results = []
-    real = cli._listed
-
-    def recording(fn, task):
-        result = real(fn, task)
-        results.append((result, task[3]))
-        return result
-
-    monkeypatch.setattr(cli, "_listed", recording)
-    use_pool(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    rc, out = sweep_stdout(capsys, 6, "--jobs", "2", *extra)
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert [len(result) for result, _ in results] == [cli.SWEEP_RANGE] * 8
-    for result, memo in results:
-        assert len(pickle.dumps(result)) < len(pickle.dumps(memo)) + 16 * len(result)
-        assert {id(e) for e in result} <= {id(e) for e in memo.values()}
 
 
 def test_graph6_batch_jobs_clamped_to_chunks(tmp_path, capsys, monkeypatch):
@@ -941,16 +936,15 @@ KILLING_CLI = (
 )
 
 
-@pytest.mark.parametrize("task", ["_verify_mask_range", "_verify_chunk"], ids=["exhaustive", "graph6"])
+@pytest.mark.parametrize("task", ["_verify_chunk"], ids=["graph6"])
 def test_worker_death_exits_2_without_waiting(tmp_path, task):
     # A worker that dies ends the run with an error line and exit 2 at once,
     # where the multiprocessing pool waited for its result forever.
     batch = tmp_path / "k2.g6"
     batch.write_text("A_\n" * 300)
-    argv = ["--exhaustive", "--n", "5"] if task == "_verify_mask_range" else [str(batch)]
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", KILLING_CLI, task, "verify", *argv, "--jobs", "2"],
+        [sys.executable, "-c", KILLING_CLI, task, "verify", str(batch), "--jobs", "2"],
         cwd=root,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
@@ -1009,20 +1003,26 @@ class BreakingPool(RecordingPool):
     ],
     ids=["start", "thread", "broken", "broken-after-failure"],
 )
-def test_pool_failure_exits_with_an_error_line(capsys, monkeypatch, pool, fault, rc, message):
-    # No summary follows: the tallies would cover only the masks printed.
+def test_pool_failure_exits_with_an_error_line(
+    tmp_path, capsys, monkeypatch, pool, fault, rc, message
+):
+    # No summary follows: the tallies would cover only the chunks printed.
+    # The batch's 5 chunks outlast BreakingPool's first three tasks.
+    src = graph6_batch(tmp_path, 640)
     pool.done = []
     use_pool(monkeypatch, pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     if fault:
-        _, a, _, scale = oracle._key_layout(6)
-        fault_mask_keys(monkeypatch, lambda m, key: key + (scale << a) if m == 11 else key)
+        # Line 12 of the first chunk is mask 11; its edge sum is off by one.
+        real, target = oracle.inverse_degree_edge_sum, labeled_graph_from_mask(5, 11)
+        monkeypatch.setattr(oracle, "inverse_degree_edge_sum", lambda g: real(g) + (g == target))
     hook = threading.excepthook
-    assert main(["verify", "--exhaustive", "--n", "6", "--jobs", "2", "--p-max", "1"]) == rc
+    assert main(["verify", str(src), "--jobs", "2", "--p-max", "1", "--m-max", "0"]) == rc
     out, err = capsys.readouterr()
     assert err == f"error: the worker pool failed: {message}; --jobs 1 runs without a pool\n"
     assert "summary" not in out
-    assert ("FAIL n=6:mask=11 " in out) == fault
+    assert (f"FAIL {src}:12 " in out) == fault
+    assert out.count("FAIL") == 2 * fault
     assert threading.excepthook is hook
 
 
@@ -1034,13 +1034,13 @@ def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
     argv = ("--p-max", "1", "--m-max", "0")
     rc, full = sweep_stdout(capsys, 6, *argv)
     memos = []
-    real = cli._profile_memo
+    real = oracle._profile_memo
 
     def recording(*args):
         memos.append(real(*args))
         return memos[-1]
 
-    monkeypatch.setattr(cli, "_profile_memo", recording)
+    monkeypatch.setattr(oracle, "_profile_memo", recording)
     monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 110)
     assert sweep_stdout(capsys, 6, *argv) == (rc, full) == (1, full)
     assert len(memos) == 1
