@@ -46,7 +46,7 @@ from .oracle import (
     MAX_VERIFY_EXPONENT,
     TheoremReport,
     _check_limits,
-    _sweep_all,
+    _sweep_masks,
     verify_all_identities,
 )
 from .star import Classification, classify, star_sequence
@@ -579,7 +579,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Workers could take over only the keys and memo lookups, never the
         # formatting of each mask's line, so the sweep runs here at any --jobs.
         finish = partial(_render_entry, args.p_max, args.m_max, args.json)
-        entries = _sweep_all(args.n, args.p_max, args.m_max, finish)
+        entries = _sweep_masks(args.n, {}, args.p_max, args.m_max, finish)
         outcomes = _sweep_outcomes(args.n, args.json, entries)
     else:
         if args.n is not None:

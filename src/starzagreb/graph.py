@@ -9,6 +9,7 @@ restricted to single-byte sizes (n <= 62).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -168,6 +169,11 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"invalid vertex count {tokens[0]!r}", lineno) from None
             if n < 1:
                 raise GraphFormatError("vertex count must be at least 1", lineno)
+            if n > sys.maxsize:
+                # No per-vertex list of that length can even be indexed.
+                raise GraphFormatError(
+                    f"vertex count above the limit sys.maxsize = {sys.maxsize}", lineno
+                )
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 'u v', got {stripped!r}", lineno)

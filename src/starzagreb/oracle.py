@@ -20,19 +20,17 @@ to its results, finished once in the form the caller keeps:
 sweep_reports keeps the results, the CLI their rendered text.  Only
 _mask_keys builds a sweep key: every key part is additive over vertex
 0's neighbours, so each block of masks that differ only there takes one
-addition per key.  A key the memo lacks is evaluated on its graph and,
-up to a cap, filled in.  The memo is prefilled by sweeping one mask per
-profile, its Havel-Hakimi realization.
+addition per key.  The memo starts empty: a key it lacks is evaluated on
+the first graph that has it and, up to a cap, filled in.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, islice, starmap
+from itertools import chain, combinations, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -82,7 +80,8 @@ MAX_BRUTEFORCE_N = 20
 # vertices the exponents past n - 1 test nothing new (Vandermonde on the
 # degrees), and this is at least max(8, 2n) for every n verify accepts.
 MAX_VERIFY_EXPONENT = 2 * MAX_BRUTEFORCE_N
-# The most entries a sweep memo holds: 342 profiles at n = 7, plus misses.
+# The most entries a sweep memo holds: every profile, 342 at n = 7, plus
+# the keys a faulty library adds.
 SWEEP_MEMO_CAP = 1 << 12
 
 
@@ -498,6 +497,9 @@ def _realize(n: int, degrees: Sequence[int]) -> Graph | None:
 
     Havel-Hakimi: the vertex of largest remaining degree d is joined to the
     d others of largest remaining degree, until every degree is used up.
+    The sweep never calls it: it is the independent reference that the
+    sweep's degree profiles and the library's fast paths are checked
+    against.
     """
     left = list(degrees)
     edges = []
@@ -532,34 +534,14 @@ def _evaluate_key(g: Graph, key: int, p_max: int, m_max: int) -> tuple:
     return _profile_part(g, edge_sum, counts, p_max, m_max)
 
 
-def _profile_memo(n: int, p_max: int, m_max: int, finish=lambda result: result) -> dict:
-    """A sweep memo prefilled with every degree profile on n vertices.
-
-    It maps a graph's sweep key, as _mask_keys gives a mask's, to finish of
-    that graph's (theorems, errata).  Each non-increasing degree sequence
-    that Havel-Hakimi realizes is one profile.  The memo is filled by an
-    ordinary sweep of one range per profile, its realization's mask, so
-    each key comes from _mask_keys, as every other mask's does.
-    """
-    _check_limits(p_max, m_max)
-    # _vertex_pairs refuses n outside 1..MAX_ENUM_N.
-    bits = {pair: 1 << i for i, pair in enumerate(_vertex_pairs(n))}
-    degrees = combinations_with_replacement(range(n - 1, -1, -1), n)
-    realized = filter(None, (_realize(n, d) for d in degrees))
-    masks = sorted(sum(map(bits.get, g.edges)) for g in realized)
-    memo: dict[int, object] = {}
-    deque(_sweep_masks(n, [(m, m + 1) for m in masks], memo, p_max, m_max, finish), 0)
-    return memo
-
-
-def _mask_keys(n: int, ranges: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """The sweep keys of the labeled graphs with masks start..stop-1 for
-    each (start, stop) in ranges, in order.  No other code builds a key.
+def _mask_keys(n: int) -> Iterator[int]:
+    """The sweep keys of every labeled graph on n vertices, in mask order.
+    No other code builds a key.
 
     A mask's low n - 1 bits, the pairs (0, 1) .. (0, n - 1), are vertex
     0's neighbours S; its high bits are a graph H on 1..n-1.  The 2^(n-1)
-    masks of one H form a block, computed whole and sliced to the range.
-    Each key part is additive over S, so a block spreads H's key P[0] by
+    masks of one H form a block, computed whole.  Each key part is
+    additive over S, so a block spreads H's key P[0] by
     P[S] = P[S - h] + delta[h], h the highest bit of S.  v's delta moves v
     up one field of F, adds to E the change of v's end of each of its edges
     in H plus v's end of (0, v), and adds to C the change from hist[nbr_v]
@@ -579,49 +561,47 @@ def _mask_keys(n: int, ranges: Iterable[tuple[int, int]]) -> Iterator[int]:
         | sum(inv[s.bit_count()] for v in range(low) if s >> v & 1) << a
         for s in range(1 << low)
     ]
-    for start, stop in ranges:
-        for high in range(start >> low, -(-stop >> low)):
-            edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
-            nbr = [0] * n
-            for u, v in edges:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-            deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
-            for v in chain.from_iterable(edges):
-                num += inv[deg[v]]
-                turn[v] += inv[deg[v] + 1] - inv[deg[v]]
-            keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
-            for v in range(1, n):
-                d, m = deg[v], nbr[v]
-                delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
-                delta += hist[m | 1] - hist[m] << b
-                keys += [key + delta for key in keys]
-            lo = max(start - (high << low), 0)
-            yield from map(add, keys[lo : stop - (high << low)], vertex0[lo:])
+    for high in range(1 << len(pairs) - low):
+        edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
+        nbr = [0] * n
+        for u, v in edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
+        for v in chain.from_iterable(edges):
+            num += inv[deg[v]]
+            turn[v] += inv[deg[v] + 1] - inv[deg[v]]
+        keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
+        for v in range(1, n):
+            d, m = deg[v], nbr[v]
+            delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
+            delta += hist[m | 1] - hist[m] << b
+            keys += [key + delta for key in keys]
+        yield from map(add, keys, vertex0)
 
 
 def _sweep_masks(
-    n: int, ranges: list, memo: dict, p_max: int, m_max: int, finish=lambda result: result
+    n: int, memo: dict, p_max: int, m_max: int, finish=lambda result: result
 ) -> Iterator[object]:
-    """The memo entries of the labeled graphs with masks start..stop-1 for
-    each (start, stop) in ranges, in mask order: finish applied to the
-    (theorems, errata) of each report.
+    """The memo entries of every labeled graph on n vertices, in mask
+    order: finish applied to the (theorems, errata) of each report.
 
-    memo maps sweep keys to entries made by the same finish, as
-    _profile_memo fills it by this sweep.  A mask's key from _mask_keys
-    fixes every input that _profile_part reads, so the mask shares the
-    entry of its key.  On a miss, that graph is built, evaluated on its own
-    key and finished, and stored while memo holds fewer than
-    SWEEP_MEMO_CAP entries.  Past the cap, which only a faulty library
+    memo maps sweep keys to entries made by the same finish; a sweep
+    usually starts it empty.  A mask's key from _mask_keys fixes every
+    input that _profile_part reads, so the mask shares the entry of its
+    key.  On a miss, the first mask with that key, that graph is built,
+    evaluated on its own key and finished, and stored while memo holds
+    fewer than SWEEP_MEMO_CAP entries.  So a passing sweep evaluates each
+    degree profile once.  Past the cap, which only a faulty library
     reaches, each missing mask costs its own evaluation, about 1 ms at
     n = 7, or 35 minutes if all 2^21 masks miss: memory stays bounded and
     time grows instead.
     """
+    _check_limits(p_max, m_max)
     # Profiles whose checks all hold yield equal results, label for label,
     # so each distinct result stored is kept once, with one cached pass status.
     results: dict[TheoremResult, TheoremResult] = {}
-    masks = chain.from_iterable(starmap(range, ranges))
-    for mask, key in zip(masks, _mask_keys(n, ranges)):
+    for mask, key in enumerate(_mask_keys(n)):
         entry = memo.get(key)
         if entry is None:
             theorems, errata = _evaluate_key(labeled_graph_from_mask(n, mask), key, p_max, m_max)
@@ -633,28 +613,20 @@ def _sweep_masks(
         yield entry
 
 
-def _sweep_all(n: int, p_max: int, m_max: int, finish=lambda result: result) -> Iterator[object]:
-    """The memo entries of every labeled graph on n vertices, in mask
-    order, swept in one range against the memo _profile_memo prefills
-    with the same finish."""
-    memo = _profile_memo(n, p_max, m_max, finish)
-    return _sweep_masks(n, [(0, 1 << n * (n - 1) // 2)], memo, p_max, m_max, finish)
-
-
 def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[TheoremReport]:
     """Reports for every labeled graph on n vertices, in mask order.
 
     Each report equals verify_all_identities(labeled_graph_from_mask(n, mask),
     p_max, m_max, graph_id=f"n={n}:mask={mask}").  The checks that read a
     graph only through its degree profile (its sorted degrees, which carry
-    the same information as f) run once per profile, on a realization of it,
-    before the first mask.  Per graph, only the sweep key is computed: one
-    addition per mask within a block of 2^(n-1) masks, with the star counts
-    read from a table of all 2^n neighbour masks' subset histograms.  A
-    graph whose sweep key is in the memo shares its entry and builds no
-    Graph; a new key is evaluated on its first graph and stored, up to
+    the same information as f) run once per profile, on the first mask
+    that has it.  Per graph, only the sweep key is computed: one addition
+    per mask within a block of 2^(n-1) masks, with the star counts read
+    from a table of all 2^n neighbour masks' subset histograms.  A graph
+    whose sweep key is in the memo shares its entry and builds no Graph; a
+    new key is evaluated on its first graph and stored, up to
     SWEEP_MEMO_CAP entries.  itertools.islice reads part of a sweep; the
     masks it skips are still swept.
     """
-    for mask, entry in enumerate(_sweep_all(n, p_max, m_max)):
+    for mask, entry in enumerate(_sweep_masks(n, {}, p_max, m_max)):
         yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

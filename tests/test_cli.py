@@ -121,6 +121,18 @@ def test_oversized_integer_token_is_an_input_error(tmp_path, capsys):
     assert "invalid vertex count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["info"], ["zagreb", "--p", "2"], ["genfunc"], ["verify"]])
+def test_vertex_count_past_sys_maxsize_is_an_input_error(tmp_path, capsys, argv):
+    # No list of that many vertices can be indexed, so the parser refuses
+    # the count before any command builds one.
+    src = write(tmp_path, "h.txt", "99999999999999999999\n")
+    rc = main([*argv, src])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {src}: line 1: vertex count above the limit sys.maxsize = {sys.maxsize}\n"
+    assert "Traceback" not in err
+
+
 def _decimal(value: int) -> str:
     """str(value) past the interpreter's int-to-str digit limit, if it has one."""
     if not hasattr(sys, "set_int_max_str_digits"):

@@ -8,21 +8,19 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
-from itertools import chain, combinations, permutations, starmap
+from itertools import combinations, permutations, starmap
 from pathlib import Path
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
 
 import starzagreb.cli as cli
 import starzagreb.oracle as oracle
@@ -37,6 +35,7 @@ from starzagreb.oracle import (
 )
 from starzagreb.star import StarSequence, frequency_from_star, inverse_degree_edge_sum
 from tests.named import path
+from tests.test_fastpaths import profile_graphs
 
 # sha256 of `verify --exhaustive --n N` stdout (text, then --json), recorded
 # from the implementation that evaluated every check on every graph.
@@ -56,16 +55,6 @@ def per_graph_reports(n: int) -> list:
     return [
         verify_all_identities(labeled_graph_from_mask(n, mask), graph_id=f"n={n}:mask={mask}")
         for mask in range(1 << (n * (n - 1) // 2))
-    ]
-
-
-def range_reports(n: int, ranges: list[tuple[int, int]], memo: dict) -> list[TheoremReport]:
-    """The reports of the masks start..stop-1 of each (start, stop) in
-    ranges, swept against memo in one call."""
-    masks = chain.from_iterable(starmap(range, ranges))
-    return [
-        TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), 8, 4, *entry)
-        for mask, entry in zip(masks, oracle._sweep_masks(n, ranges, memo, 8, 4), strict=True)
     ]
 
 
@@ -148,8 +137,8 @@ def record_profile_parts(monkeypatch) -> list[tuple]:
 
 
 def test_sweep_runs_profile_part_once_per_profile(monkeypatch):
-    # Every graph of a profile has its realization's sweep key, so a
-    # passing sweep evaluates each degree profile once.
+    # Every graph of a profile has the same sweep key, so a passing sweep
+    # evaluates each degree profile once, on its first mask.
     calls = record_profile_parts(monkeypatch)
     assert all(r.passed for r in sweep_reports(5))
     assert len(calls) == len(set(calls)) == len({c[0] for c in calls}) == 31
@@ -171,33 +160,34 @@ def public_values(g: Graph) -> tuple:
     return tuple(sorted(g.vertex_degrees)), inverse_degree_edge_sum(g), star_counts_bruteforce(g)
 
 
+# The graphical degree sequences on n = 1..7 vertices (OEIS A004251).
+PROFILES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 31, 6: 102, 7: 342}
+
+
 def test_profile_memo_holds_exactly_the_keys_the_masks_produce():
-    # One entry per graphical degree sequence (OEIS A004251), keyed on the
-    # sweep key every labeled graph of that profile has, so a sweep of a
-    # correct library never misses.
-    for n, profiles in zip(range(1, 8), (1, 2, 4, 11, 31, 102, 342)):
-        assert len(oracle._profile_memo(n, 1, 0)) == profiles
-    for n in range(1, 6):
-        memo = oracle._profile_memo(n, 1, 0)
-        keys = set(oracle._mask_keys(n, [(0, 1 << (n * (n - 1) // 2))]))
-        assert set(memo) == keys
-        graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
-        assert {sweep_values(n, key) for key in memo} == graphs
+    # A full sweep leaves one entry per degree profile, keyed on the sweep
+    # key every labeled graph of that profile has, so a correct library
+    # misses once per profile.  The decoded profiles are exactly the
+    # degree sequences Havel-Hakimi realizes.
+    for n, profiles in PROFILES.items():
+        memo: dict = {}
+        deque(oracle._sweep_masks(n, memo, 1, 0), 0)
+        assert len(memo) == profiles
+        realized = {tuple(sorted(g.vertex_degrees)) for g in profile_graphs(n)}
+        assert {sweep_values(n, key)[0] for key in memo} == realized
+        if n <= 5:
+            assert set(memo) == set(oracle._mask_keys(n))
+            graphs = {public_values(g) for g in oracle.all_labeled_graphs(n)}
+            assert {sweep_values(n, key) for key in memo} == graphs
     assert sorted(oracle._realize(4, (3, 2, 2, 1)).vertex_degrees) == [1, 2, 2, 3]
     assert oracle._realize(4, (3, 3, 1, 1)) is None
     assert oracle._realize(3, (1, 1, 1)) is None
 
 
-def test_sweep_subrange_and_validation():
-    # A public sweep covers every mask; a pool task sweeps a mask range.
+def test_sweep_validation():
+    # A sweep covers every mask: it takes no mask range.
     with pytest.raises(TypeError):
         sweep_reports(4, 10, 20)
-    memo = oracle._profile_memo(4, 8, 4)
-    assert range_reports(4, [(10, 20)], memo) == per_graph_reports(4)[10:20]
-    assert range_reports(3, [(5, 5)], oracle._profile_memo(3, 8, 4)) == []
-    # One call sweeps several ranges in order, as the memo prefill does.
-    reports = range_reports(4, [(3, 5), (5, 5), (40, 43), (63, 64)], memo)
-    assert reports == [per_graph_reports(4)[mask] for mask in (3, 4, 40, 41, 42, 63)]
     for args, kwargs in (
         ((0,), {}),
         ((oracle.MAX_ENUM_N + 1,), {}),
@@ -210,49 +200,58 @@ def test_sweep_subrange_and_validation():
 
 def test_mask_keys_equal_the_per_graph_values_at_every_n6_mask():
     # Each block's recurrence against the public checks on a Graph per
-    # mask, at every mask for n <= 6, and every mask's key against the
-    # memo's key of its profile.
+    # mask, at every mask for n <= 6, and all masks of one profile share
+    # one key.
     for n in range(1, 7):
-        memo = oracle._profile_memo(n, 1, 0)
-        keys = list(oracle._mask_keys(n, [(0, 1 << n * (n - 1) // 2)]))
+        keys = list(oracle._mask_keys(n))
         assert len(keys) == 1 << n * (n - 1) // 2
         for mask, key in enumerate(keys):
             assert sweep_values(n, key) == public_values(labeled_graph_from_mask(n, mask)), (n, mask)
-            assert key in memo, (n, mask)
+        assert len(set(keys)) == PROFILES[n]
 
 
-@cache
-def memo7() -> dict:
-    # Built once for every example; hypothesis would print it as an argument.
-    # Each example sweeps a copy, so no example's miss can fill it.
-    return oracle._profile_memo(7, 8, 4)
+def n7_sample_masks() -> set[int]:
+    """The n = 7 masks checked one by one: the first and the last blocks'
+    edges, the masks astride the middle, the insides of two blocks (a block
+    is the 64 masks that differ only in vertex 0's neighbours), and 1,000
+    masks drawn from a seeded generator."""
+    top = 1 << 21
+    masks = {
+        *range(32),
+        *range(top - 24, top),
+        *range((1 << 20) - 1, (1 << 20) + 2),
+        *range((5 << 6) + 40, (5 << 6) + 72),
+        *range((9 << 6) + 3, (9 << 6) + 8),
+    }
+    rng = random.Random(2024)
+    masks.update(rng.randrange(top) for _ in range(1000))
+    return masks
 
 
-@settings(max_examples=20, deadline=None)
-@given(start=st.integers(0, (1 << 21) - 1), length=st.integers(0, 32))
-@example(start=0, length=32)
-@example(start=(1 << 21) - 24, length=32)
-@example(start=(1 << 20) - 1, length=3)
-@example(start=(5 << 6) + 40, length=32)
-@example(start=(9 << 6) + 3, length=5)
-def test_sweep_ranges_at_n7_equal_per_graph_verification(start, length):
-    # A pool task's range may start and stop mid-block, at any mask; a
-    # block is the 64 masks that differ only in vertex 0's neighbours.
-    stop = min(start + length, 1 << 21)
-    keys = list(oracle._mask_keys(7, [(start, stop)]))
-    assert [sweep_values(7, key) for key in keys] == [
-        public_values(labeled_graph_from_mask(7, mask)) for mask in range(start, stop)
-    ]
-    assert all(key in memo7() for key in keys)
-    assert range_reports(7, [(start, stop)], dict(memo7())) == [
-        verify_all_identities(labeled_graph_from_mask(7, mask), graph_id=f"n=7:mask={mask}")
-        for mask in range(start, stop)
-    ]
+def test_sweep_at_n7_equals_per_graph_verification():
+    # One pass of every n = 7 key and one of every sweep entry, each
+    # checked at the sample masks against the public checks on that mask's
+    # own Graph.
+    sample = n7_sample_masks()
+    assert len(sample) > 1000
+    seen = 0
+    for mask, (key, entry) in enumerate(
+        zip(oracle._mask_keys(7), oracle._sweep_masks(7, {}, 8, 4), strict=True)
+    ):
+        if mask in sample:
+            seen += 1
+            g = labeled_graph_from_mask(7, mask)
+            assert sweep_values(7, key) == public_values(g), mask
+            report = TheoremReport(f"n=7:mask={mask}", 7, mask.bit_count(), 8, 4, *entry)
+            assert report == verify_all_identities(g, graph_id=f"n=7:mask={mask}"), mask
+    assert seen == len(sample)
 
 
 def test_passing_sweep_builds_no_graph(monkeypatch):
-    # Every n = 5 key hits the memo, so no mask needs a Graph of its own.
-    memo = oracle._profile_memo(5, 8, 4)
+    # A sweep builds one Graph per degree profile at n = 5, on its first
+    # mask; every other key hits the memo.  A second sweep over the filled
+    # memo builds none.
+    memo: dict = {}
     built = []
     real = Graph.__post_init__
 
@@ -261,9 +260,13 @@ def test_passing_sweep_builds_no_graph(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counting)
-    entries = list(oracle._sweep_masks(5, [(0, 1 << 10)], memo, 8, 4))
+    entries = list(oracle._sweep_masks(5, memo, 8, 4))
     assert len(entries) == 1024
     assert all(r.passed for theorems, _ in entries for r in theorems)
+    assert len(built) == len(memo) == 31
+    assert len({tuple(sorted(g.vertex_degrees)) for g in built}) == 31
+    built.clear()
+    assert list(oracle._sweep_masks(5, memo, 8, 4)) == entries
     assert built == []
     labeled_graph_from_mask(5, 3)
     assert len(built) == 1
@@ -289,12 +292,12 @@ def direct_histogram(mask: int) -> Counter:
 
 
 def test_sweep_table_unpacks_to_a_direct_subset_walk(monkeypatch):
-    # A range's table holds every possible neighbour mask's histogram,
+    # A sweep's table holds every possible neighbour mask's histogram,
     # field k being the number of k-element subsets.
     calls = record_histograms(monkeypatch)
     for n in range(1, oracle.MAX_ENUM_N + 1):
         calls.clear()
-        list(oracle._mask_keys(n, [(0, 1)]))
+        next(oracle._mask_keys(n))
         assert sorted(mask for mask, _, _ in calls) == list(range(1 << n))
         for mask, width, packed in calls:
             assert width == oracle._star_field_width(n, n - 1)
@@ -329,30 +332,17 @@ def test_star_field_width_holds_every_bucket():
                 ), (n, delta)
 
 
-def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
-    # The table is built once per call, whether the call sweeps one range
-    # or several.
-    memo = oracle._profile_memo(5, 8, 4)
+def test_sweep_walks_each_neighbour_mask_once_per_sweep(monkeypatch):
+    # A sweep walks each of the 2^n neighbour masks once, whatever its
+    # misses: no per-vertex walk per profile, and no table rebuilt per
+    # block or per evaluation, with the 342 profiles at n = 7 too.
     calls = record_histograms(monkeypatch)
-    assert len(list(oracle._sweep_masks(5, [(0, 1 << 10)], memo, 8, 4))) == 1024
-    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
-    calls.clear()
-    list(oracle._sweep_masks(5, [(0, 512)], memo, 8, 4))
-    list(oracle._sweep_masks(5, [(512, 1024)], memo, 8, 4))
-    assert Counter(mask for mask, _, _ in calls) == Counter(2 * list(range(1 << 5)))
-    calls.clear()
-    assert len(list(oracle._sweep_masks(5, [(0, 512), (512, 1024)], memo, 8, 4))) == 1024
-    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
-
-
-def test_profile_memo_builds_one_table(monkeypatch):
-    # The prefill is one sweep of the 342 realization masks at n = 7, so it
-    # walks each of the 2^7 neighbour masks once: no per-vertex walk per
-    # profile, and no table rebuilt per realization.
-    calls = record_histograms(monkeypatch)
-    memo = oracle._profile_memo(7, 8, 4)
-    assert len(memo) == 342
-    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 7))
+    for n in (5, 7):
+        calls.clear()
+        memo: dict = {}
+        assert sum(1 for _ in oracle._sweep_masks(n, memo, 1, 0)) == 1 << n * (n - 1) // 2
+        assert len(memo) == PROFILES[n]
+        assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << n))
 
 
 def test_public_bruteforce_walks_each_centre_once(monkeypatch):
@@ -603,25 +593,17 @@ PER_GRAPH_FAULTS = [
 
 
 def fault_mask_keys(monkeypatch, fault) -> None:
-    """Make the sweep's block core yield fault(mask, key) for each mask's
-    key, in the memo prefill too: each key is paired with its mask across
-    all the ranges of a call."""
+    """Make the sweep's block core yield fault(mask, key) for each mask's key."""
     real = oracle._mask_keys
-
-    def faulty(n, ranges):
-        masks = chain.from_iterable(starmap(range, ranges))
-        for mask, key in zip(masks, real(n, ranges), strict=True):
-            yield fault(mask, key)
-
-    monkeypatch.setattr(oracle, "_mask_keys", faulty)
+    monkeypatch.setattr(oracle, "_mask_keys", lambda n: starmap(fault, enumerate(real(n))))
 
 
 # Masks 11 and 56 are the first and the last of the four labeled graphs
 # forming a triangle plus an isolated vertex at n = 4.  Mask 11 is that
-# profile's Havel-Hakimi realization, so its fault goes into the memo
-# prefill itself; a fault on mask 56 comes after the profile's passing
-# results are already memoised.  The mask-11 cases keep the ids they had
-# before mask 56 was added.
+# profile's first mask, so its fault goes into the evaluation that fills
+# the memo; a fault on mask 56 comes after the profile's passing results
+# are already memoised.  The mask-11 cases keep the ids they had before
+# mask 56 was added.
 @pytest.mark.parametrize(
     "name, theorem, label, bump, mask",
     [
@@ -639,8 +621,6 @@ def test_per_graph_fault_fails_exactly_that_graph(
     profile = masks_with_profile(4, frequency_sequence(target).counts)
     assert len(profile) == 4
     assert mask in (min(profile), max(profile))
-    # Edges (0,1), (0,2) and (1,2) are bits 0, 1 and 3: mask 11 alone.
-    assert (oracle._realize(4, (2, 2, 2, 0)) == target) == (mask == 11)
     fault_mask_keys(monkeypatch, lambda m, key: bump(key) if m == mask else key)
     rc, out = sweep_stdout(capsys, 4)
     fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -654,7 +634,7 @@ def test_per_graph_fault_fails_exactly_that_graph(
 def add_edge_sum_fault(monkeypatch) -> None:
     """Make the edge sum add (sum of u*v over the edges mod 3), a fault
     that depends on the graph, not only on its profile, in each n = 6
-    mask's sweep key: the memo prefill's realizations' keys too."""
+    mask's sweep key."""
     pairs = list(combinations(range(6), 2))
     _, a, _, scale = oracle._key_layout(6)
 
@@ -699,9 +679,8 @@ def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypat
 
 
 def test_graph_dependent_fault_evaluates_each_key_once(capsys, monkeypatch):
-    # A miss fills the one memo, so in process no _profile_part input is
-    # evaluated twice, however many ranges its graphs fall in: 102 profiles
-    # and 194 keys the edge-sum fault adds.
+    # A miss fills the one memo, so no _profile_part input is evaluated
+    # twice: 102 profiles and 194 keys the edge-sum fault adds.
     add_edge_sum_fault(monkeypatch)
     calls = record_profile_parts(monkeypatch)
     rc, out = sweep_stdout(capsys, 6, "--p-max", "1", "--m-max", "0")
@@ -807,9 +786,9 @@ def test_exhaustive_sweep_starts_no_pool(capsys, monkeypatch):
 
 
 def test_exhaustive_jobs_2_runs_profile_part_once_per_profile(capsys, monkeypatch):
-    # The memo of every profile is filled before the first mask, and --jobs 2
-    # starts no pool, so the sweep at n = 5 evaluates none of the 31 degree
-    # profiles again.
+    # Each profile is memoised on its first mask, and --jobs 2 starts no
+    # pool, so the sweep at n = 5 evaluates none of the 31 degree profiles
+    # again.
     use_pool(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     calls = record_profile_parts(monkeypatch)
@@ -1034,13 +1013,13 @@ def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
     argv = ("--p-max", "1", "--m-max", "0")
     rc, full = sweep_stdout(capsys, 6, *argv)
     memos = []
-    real = oracle._profile_memo
+    real = cli._sweep_masks
 
-    def recording(*args):
-        memos.append(real(*args))
-        return memos[-1]
+    def recording(n, memo, *args):
+        memos.append(memo)
+        return real(n, memo, *args)
 
-    monkeypatch.setattr(oracle, "_profile_memo", recording)
+    monkeypatch.setattr(cli, "_sweep_masks", recording)
     monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 110)
     assert sweep_stdout(capsys, 6, *argv) == (rc, full) == (1, full)
     assert len(memos) == 1
