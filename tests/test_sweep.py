@@ -332,17 +332,30 @@ def test_star_field_width_holds_every_bucket():
                 ), (n, delta)
 
 
-def test_sweep_walks_each_neighbour_mask_once_per_sweep(monkeypatch):
-    # A sweep walks each of the 2^n neighbour masks once, whatever its
-    # misses: no per-vertex walk per profile, and no table rebuilt per
-    # block or per evaluation, with the 342 profiles at n = 7 too.
+def test_sweep_walks_each_neighbour_mask_once_per_range(monkeypatch):
+    # A sweep covers the one range of every mask and builds its table once
+    # per call, whatever its misses: two sweeps walk each neighbour mask
+    # twice, once each.
     calls = record_histograms(monkeypatch)
-    for n in (5, 7):
-        calls.clear()
-        memo: dict = {}
-        assert sum(1 for _ in oracle._sweep_masks(n, memo, 1, 0)) == 1 << n * (n - 1) // 2
-        assert len(memo) == PROFILES[n]
-        assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << n))
+    memo: dict = {}
+    assert sum(1 for _ in oracle._sweep_masks(5, memo, 8, 4)) == 1 << 10
+    assert len(memo) == PROFILES[5]
+    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 5))
+    calls.clear()
+    deque(oracle._sweep_masks(5, {}, 8, 4), 0)
+    deque(oracle._sweep_masks(5, memo, 8, 4), 0)
+    assert Counter(mask for mask, _, _ in calls) == Counter(2 * list(range(1 << 5)))
+
+
+def test_profile_memo_builds_one_table(monkeypatch):
+    # The memo a sweep fills at n = 7 holds the 342 profiles, and the sweep
+    # walks each of the 2^7 neighbour masks once: no per-vertex walk per
+    # profile, and no table rebuilt per block or per evaluation.
+    calls = record_histograms(monkeypatch)
+    memo: dict = {}
+    assert sum(1 for _ in oracle._sweep_masks(7, memo, 1, 0)) == 1 << 21
+    assert len(memo) == PROFILES[7] == 342
+    assert Counter(mask for mask, _, _ in calls) == Counter(range(1 << 7))
 
 
 def test_public_bruteforce_walks_each_centre_once(monkeypatch):
