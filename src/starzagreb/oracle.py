@@ -18,10 +18,10 @@ counts read more of a graph than its profile.  So one memo maps a graph's
 sweep key, one integer packing its frequency vector and those two values,
 to its results, finished once in the form the caller keeps:
 sweep_reports keeps the results, the CLI their rendered text.  Only
-_mask_keys builds a sweep key: every key part is additive over vertex
-0's neighbours, so each block of masks that differ only there takes one
-addition per key.  The memo starts empty: a key it lacks is evaluated on
-the first graph that has it and, up to a cap, filled in.
+_mask_keys builds a sweep key, as stars are counted, by their centres: a
+key is the sum over the vertices of one table entry per neighbour mask.
+The memo starts empty: a key it lacks is evaluated on the first graph
+that has it and, up to a cap, filled in.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -272,79 +272,66 @@ class TheoremReport:
         return [(t.name, c) for t in self.theorems for c in t.failures]
 
 
+def _erratum(note_id: str, description: str, witnesses: Iterable[dict[str, str]]) -> ErratumNote:
+    """The note on the first witness that witnesses yields, or an
+    untriggered note with no witness if it yields none."""
+    witness = next(iter(witnesses), None)
+    return ErratumNote(note_id, description, witness is not None, witness)
+
+
 def _moment_sign_note(lhs: Sequence[int], rhs: Sequence[int]) -> ErratumNote:
     """lhs[m] is the alternating moment for m = 0..m_max, rhs[m-1] the
     frequency-side sum for m = 1..m_max."""
-    description = (
+    return _erratum(
+        "moment_rhs_sign",
         "moment identity right side: sign variant (-1)^k versus (-1)^(k-1) "
-        "on the frequency-side sum; only the latter matches the star side"
+        "on the frequency-side sum; only the latter matches the star side",
+        (
+            {"m": str(m), "lhs": str(lhs[m]), "rhs_sign_k": str(-r), "rhs_sign_k_minus_1": str(r)}
+            for m, r in enumerate(rhs, start=1)
+            if -r != r
+        ),
     )
-    for m_exp, corrected in enumerate(rhs, start=1):
-        flipped = -corrected
-        if flipped != corrected:
-            return ErratumNote(
-                "moment_rhs_sign",
-                description,
-                True,
-                {
-                    "m": str(m_exp),
-                    "lhs": str(lhs[m_exp]),
-                    "rhs_sign_k": str(flipped),
-                    "rhs_sign_k_minus_1": str(corrected),
-                },
-            )
-    return ErratumNote("moment_rhs_sign", description, False, None)
 
 
 def _f1_sign_note(s: StarSequence, f: FrequencySequence) -> ErratumNote:
-    description = (
-        "degree-one inversion term: sign exponent on k*S_k read as (-1)^(k-1) "
-        "versus (-1)^k; the variants split whenever some S_k with k >= 2 is nonzero"
-    )
     # The two readings differ only in the sign of the tail over k >= 2.
     tail = sum((-1) ** (k - 1) * k * s.entry(k) for k in range(2, s.top + 1))
-    corrected = s.adjusted_first + tail
-    flipped = s.adjusted_first - tail
-    if flipped != corrected:
-        return ErratumNote(
-            "f1_term_sign",
-            description,
-            True,
-            {
-                "f1": str(f.f(1)),
-                "sign_k_minus_1": str(corrected),
-                "sign_k": str(flipped),
-            },
-        )
-    return ErratumNote("f1_term_sign", description, False, None)
+    first = s.adjusted_first
+    witness = {"f1": str(f.f(1)), "sign_k_minus_1": str(first + tail), "sign_k": str(first - tail)}
+    return _erratum(
+        "f1_term_sign",
+        "degree-one inversion term: sign exponent on k*S_k read as (-1)^(k-1) "
+        "versus (-1)^k; the variants split whenever some S_k with k >= 2 is nonzero",
+        [witness] if tail else [],
+    )
 
 
 def _recurrence_index_note(n: int, z: Sequence[int], p_max: int) -> ErratumNote:
     """z holds Z_0..Z_{n+p_max} at least."""
-    description = (
-        "recurrence coefficient index: s(n+1, n+1-i) tied to the vertex count "
-        "versus s(p+1, p+1-i) tied to the exponent; only the former leaves "
-        "zero residuals past p = n"
-    )
     # rows yields s(q, 0..q) from q = n+1: first the vertex-count row, then
     # s(p+1, 0..p+1) for p = n+1, n+2, ..., one row per exponent.
     rows = islice(stirling1_rows(), n + 1, None)
     by_n = next(rows)
-    for p, row in zip(range(n + 1, n + p_max + 1), rows):
-        by_exponent = z[p] + sum(row[p + 1 - i] * z[p - i] for i in range(1, n + 1))
-        by_vertex_count = z[p] + sum(by_n[n + 1 - i] * z[p - i] for i in range(1, n + 1))
-        if by_exponent != by_vertex_count:
-            return ErratumNote(
-                "recurrence_index_base",
-                description,
-                True,
-                {
+
+    def witnesses():
+        for p, row in zip(range(n + 1, n + p_max + 1), rows):
+            by_exponent = z[p] + sum(row[p + 1 - i] * z[p - i] for i in range(1, n + 1))
+            by_vertex_count = z[p] + sum(by_n[n + 1 - i] * z[p - i] for i in range(1, n + 1))
+            if by_exponent != by_vertex_count:
+                yield {
                     "p": str(p),
                     "residual_exponent_indexed": str(by_exponent),
                     "residual_vertex_indexed": str(by_vertex_count),
-                },
-            )
-    return ErratumNote("recurrence_index_base", description, False, None)
+                }
+
+    return _erratum(
+        "recurrence_index_base",
+        "recurrence coefficient index: s(n+1, n+1-i) tied to the vertex count "
+        "versus s(p+1, p+1-i) tied to the exponent; only the former leaves "
+        "zero residuals past p = n",
+        witnesses(),
+    )
 
 
 def _checked(name: str, checks: Iterable[TheoremCheck]) -> TheoremResult:
@@ -380,7 +367,6 @@ def _profile_part(
     the erratum notes are left out.
     """
     n, f = g.n, g.frequency
-    edge_sum, counts = cache(edge_sum), cache(counts)
     terms = max(p_max + 1, 2 * n + 10)
     s = cache(partial(star_sequence, g))
     z = cache(lambda: [zagreb_direct(g, q) for q in range(max(terms, n + p_max + 1))])
@@ -538,46 +524,37 @@ def _mask_keys(n: int) -> Iterator[int]:
     """The sweep keys of every labeled graph on n vertices, in mask order.
     No other code builds a key.
 
-    A mask's low n - 1 bits, the pairs (0, 1) .. (0, n - 1), are vertex
-    0's neighbours S; its high bits are a graph H on 1..n-1.  The 2^(n-1)
-    masks of one H form a block, computed whole.  Each key part is
-    additive over S, so a block spreads H's key P[0] by
-    P[S] = P[S - h] + delta[h], h the highest bit of S.  v's delta moves v
-    up one field of F, adds to E the change of v's end of each of its edges
-    in H plus v's end of (0, v), and adds to C the change from hist[nbr_v]
-    to hist[nbr_v | 1].  Vertex 0's part, fixed by S, is its F bit at |S|,
-    hist[S << 1], and the 0-ends of its |S| edges.  E sums one term per
-    edge end, never a degree times its own inverse: that is L for every
-    degree, so the edge-sum check would compare n - f_0 with itself.
+    A key is the sum over the vertices of part[N], N the vertex's
+    neighbour mask: its F bit at |N|, its edge-sum terms and its subset
+    histogram.  The edge sum adds one term L/|N| per edge end, never |N|
+    times L/|N|: that is L for every degree, so the edge-sum check would
+    compare n - f_0 with itself.  A mask's low n - 1 bits, the pairs
+    (0, 1) .. (0, n - 1), are vertex 0's neighbours S; its high bits are a
+    graph H on 1..n-1.  The 2^(n-1) masks of one H form a block: each v in
+    S moves from part[nbr_v] to part[nbr_v | 1], and vertex 0 adds
+    part[S << 1].
     """
-    pairs = _vertex_pairs(n)
+    pairs = _vertex_pairs(n)[n - 1:]
     fw, a, b, scale = _key_layout(n)
-    inv = [0, *(scale // d for d in range(1, n))]
-    # Every neighbour mask's subset histogram, once per call: 3^n visits.
-    hist = [_subset_histogram(nbr, _star_field_width(n, n - 1)) for nbr in range(1 << n)]
-    low = n - 1
-    vertex0 = [
-        1 << fw * s.bit_count() | hist[s << 1] << b
-        | sum(inv[s.bit_count()] for v in range(low) if s >> v & 1) << a
-        for s in range(1 << low)
+    width = _star_field_width(n, n - 1)
+    # Every neighbour mask's part, once per call: 3^n subset visits.
+    part = [
+        1 << fw * nbr.bit_count()
+        | sum(scale // nbr.bit_count() for v in range(n) if nbr >> v & 1) << a
+        | _subset_histogram(nbr, width) << b
+        for nbr in range(1 << n)
     ]
-    for high in range(1 << len(pairs) - low):
-        edges = [pair for i, pair in enumerate(pairs[low:]) if high >> i & 1]
+    for high in range(1 << len(pairs)):
         nbr = [0] * n
-        for u, v in edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        deg, turn, num = [m.bit_count() for m in nbr], [0] * n, 0
-        for v in chain.from_iterable(edges):
-            num += inv[deg[v]]
-            turn[v] += inv[deg[v] + 1] - inv[deg[v]]
-        keys = [sum(1 << fw * deg[v] | hist[nbr[v]] << b for v in range(1, n)) | num << a]
-        for v in range(1, n):
-            d, m = deg[v], nbr[v]
-            delta = (1 << fw * (d + 1)) - (1 << fw * d) + (turn[v] + inv[d + 1] << a)
-            delta += hist[m | 1] - hist[m] << b
+        for i, (u, v) in enumerate(pairs):
+            if high >> i & 1:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+        keys = [sum(part[m] for m in nbr[1:])]
+        for m in nbr[1:]:
+            delta = part[m | 1] - part[m]
             keys += [key + delta for key in keys]
-        yield from map(add, keys, vertex0)
+        yield from map(add, keys, part[::2])
 
 
 def _sweep_masks(
@@ -621,12 +598,12 @@ def sweep_reports(n: int, *, p_max: int = 8, m_max: int = 4) -> Iterator[Theorem
     graph only through its degree profile (its sorted degrees, which carry
     the same information as f) run once per profile, on the first mask
     that has it.  Per graph, only the sweep key is computed: one addition
-    per mask within a block of 2^(n-1) masks, with the star counts read
-    from a table of all 2^n neighbour masks' subset histograms.  A graph
-    whose sweep key is in the memo shares its entry and builds no Graph; a
-    new key is evaluated on its first graph and stored, up to
-    SWEEP_MEMO_CAP entries.  itertools.islice reads part of a sweep; the
-    masks it skips are still swept.
+    per mask within a block of 2^(n-1) masks, every key part read from a
+    table over all 2^n neighbour masks.  A graph whose sweep key is in the
+    memo shares its entry and builds no Graph; a new key is evaluated on
+    its first graph and stored, up to SWEEP_MEMO_CAP entries.
+    itertools.islice reads part of a sweep; the masks it skips are still
+    swept.
     """
     for mask, entry in enumerate(_sweep_masks(n, {}, p_max, m_max)):
         yield TheoremReport(f"n={n}:mask={mask}", n, mask.bit_count(), p_max, m_max, *entry)

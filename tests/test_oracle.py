@@ -225,7 +225,13 @@ def test_claw_triggers_all_three_errata():
     f1 = notes["f1_term_sign"]
     assert f1.triggered
     assert f1.witness == {"f1": "3", "sign_k_minus_1": "3", "sign_k": "9"}
-    assert notes["recurrence_index_base"].triggered
+    recurrence = notes["recurrence_index_base"]
+    assert recurrence.triggered
+    assert recurrence.witness == {
+        "p": "5",
+        "residual_exponent_indexed": "480",
+        "residual_vertex_indexed": "0",
+    }
 
 
 def test_k2_triggers_moment_note_but_not_f1_note():
@@ -244,6 +250,11 @@ def test_k2_triggers_moment_note_but_not_f1_note():
     assert not notes["f1_term_sign"].triggered
     assert notes["f1_term_sign"].witness is None
     assert notes["recurrence_index_base"].triggered
+    assert notes["recurrence_index_base"].witness == {
+        "p": "3",
+        "residual_exponent_indexed": "12",
+        "residual_vertex_indexed": "0",
+    }
 
 
 def test_edgeless_triggers_nothing():

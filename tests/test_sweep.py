@@ -644,12 +644,12 @@ def test_per_graph_fault_fails_exactly_that_graph(
     assert "failures=1 " in out
 
 
-def add_edge_sum_fault(monkeypatch) -> None:
+def add_edge_sum_fault(monkeypatch, n: int) -> None:
     """Make the edge sum add (sum of u*v over the edges mod 3), a fault
-    that depends on the graph, not only on its profile, in each n = 6
-    mask's sweep key."""
-    pairs = list(combinations(range(6), 2))
-    _, a, _, scale = oracle._key_layout(6)
+    that depends on the graph, not only on its profile, in each mask's
+    sweep key on n vertices."""
+    pairs = list(combinations(range(n), 2))
+    _, a, _, scale = oracle._key_layout(n)
 
     def fault(mask, key):
         return key + (sum(u * v for i, (u, v) in enumerate(pairs) if mask >> i & 1) % 3 * scale << a)
@@ -661,7 +661,7 @@ def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypat
     # The edge-sum fault makes many graphs miss the memo, each evaluated
     # and rendered on its own key, so each must print its own residual,
     # not its profile's or that of another graph that missed earlier.
-    add_edge_sum_fault(monkeypatch)
+    add_edge_sum_fault(monkeypatch, 6)
     pairs = list(combinations(range(6), 2))
     expected = [
         sum(u * v for i, (u, v) in enumerate(pairs) if mask >> i & 1) % 3 for mask in range(1 << 15)
@@ -694,7 +694,7 @@ def test_graph_dependent_fault_prints_each_graphs_own_residual(capsys, monkeypat
 def test_graph_dependent_fault_evaluates_each_key_once(capsys, monkeypatch):
     # A miss fills the one memo, so no _profile_part input is evaluated
     # twice: 102 profiles and 194 keys the edge-sum fault adds.
-    add_edge_sum_fault(monkeypatch)
+    add_edge_sum_fault(monkeypatch, 6)
     calls = record_profile_parts(monkeypatch)
     rc, out = sweep_stdout(capsys, 6, "--p-max", "1", "--m-max", "0")
     assert rc == 1
@@ -1019,12 +1019,12 @@ def test_pool_failure_exits_with_an_error_line(
 
 
 def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
-    # Under a graph-dependent fault, the 194 keys the fault adds at n = 6
+    # Under a graph-dependent fault, the 87 keys of n = 5 (31 profiles)
     # fill the memo only up to the cap; the masks past it are evaluated
     # one by one, and print the same bytes.
-    add_edge_sum_fault(monkeypatch)
+    add_edge_sum_fault(monkeypatch, 5)
     argv = ("--p-max", "1", "--m-max", "0")
-    rc, full = sweep_stdout(capsys, 6, *argv)
+    rc, full = sweep_stdout(capsys, 5, *argv)
     memos = []
     real = cli._sweep_masks
 
@@ -1033,7 +1033,7 @@ def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
         return real(n, memo, *args)
 
     monkeypatch.setattr(cli, "_sweep_masks", recording)
-    monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 110)
-    assert sweep_stdout(capsys, 6, *argv) == (rc, full) == (1, full)
+    monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 50)
+    assert sweep_stdout(capsys, 5, *argv) == (rc, full) == (1, full)
     assert len(memos) == 1
-    assert len(memos[0]) == 110
+    assert len(memos[0]) == 50
