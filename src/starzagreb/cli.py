@@ -32,25 +32,22 @@ from collections import deque
 from contextlib import suppress
 from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .graph import (
+    MAX_ENUM_N,
+    MAX_VERIFY_EXPONENT,
     Graph,
     GraphFormatError,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
-from .oracle import (
-    MAX_ENUM_N,
-    MAX_VERIFY_EXPONENT,
-    TheoremReport,
-    _check_limits,
-    _sweep_masks,
-    verify_all_identities,
-)
 from .star import Classification, classify, star_sequence
 from .zagreb import genfunc_numerator, zagreb_by_recurrence, zagreb_direct, zagreb_from_stars
+
+if TYPE_CHECKING:
+    from .oracle import TheoremReport
 
 __all__ = ["main", "cmd_info", "cmd_zagreb", "cmd_genfunc", "cmd_verify"]
 
@@ -83,37 +80,24 @@ def info_record(identifier: str, g: Graph) -> dict:
 MAX_ZAGREB_DIGITS = 300_000
 
 
-def _zagreb_digits(g: Graph, p: int, method: str = "direct") -> float:
+def _zagreb_digits(g: Graph, p: int) -> float:
     """About how many decimal digits Z_p has: p*log10(D) + log10(n), the
     logarithm of its bound n*D^p, where D is the maximum degree.
 
-    The recurrence route runs p steps however small Z_p is, so for
-    --method recurrence and all D counts as at least 2: p is then bounded
-    as if Z_p had p*log10(2) digits.  p is clamped so that the product
-    stays a float; any p past the clamp gives more than MAX_ZAGREB_DIGITS
-    digits either way when D >= 2.
+    p is clamped so that the product stays a float; any p past the clamp
+    gives more than MAX_ZAGREB_DIGITS digits either way when D >= 2.
     """
     delta = max(g.vertex_degrees)
-    if method in ("recurrence", "all"):
-        delta = max(delta, 2)
     return min(p, 10 * MAX_ZAGREB_DIGITS) * math.log10(max(delta, 1)) + math.log10(g.n)
 
 
 def zagreb_record(identifier: str, g: Graph, p: int, method: str) -> dict:
-    """Z_p by the chosen routes.  Raises ValueError, before any power is
-    formed or any recurrence step is taken, when Z_p would have more than
-    MAX_ZAGREB_DIGITS digits, or when the recurrence route would run more
-    steps than an answer of that many digits allows."""
+    """Z_p by the chosen routes.  Raises ValueError, before any route runs,
+    when Z_p would have more than MAX_ZAGREB_DIGITS digits."""
     if _zagreb_digits(g, p) > MAX_ZAGREB_DIGITS:
         raise ValueError(
             f"Z_p would have more than {MAX_ZAGREB_DIGITS:,} decimal digits, "
             "the cap for zagreb; its digits are about p*log10(max degree) + log10(n)"
-        )
-    if _zagreb_digits(g, p, method) > MAX_ZAGREB_DIGITS:
-        raise ValueError(
-            "the recurrence route runs p steps, so it takes the max degree as at "
-            f"least 2: p*log10(2) + log10(n) must not exceed {MAX_ZAGREB_DIGITS:,}; "
-            "--method direct and star have no such bound"
         )
     values: dict[str, str] = {}
     if method in ("direct", "all"):
@@ -439,6 +423,8 @@ def _render_entry(p_max: int, m_max: int, as_json: bool, result: tuple) -> tuple
     """A sweep memo entry's finished form: the text or JSON after m of the
     reports with that (theorems, errata), and their tallies.  Neither reads
     a report's identifier, n or m, so those are left blank."""
+    from .oracle import TheoremReport
+
     report = TheoremReport("", 0, 0, p_max, m_max, *result)
     render = _report_json_tail if as_json else _report_verdict
     return (render(report), *_report_tallies(report))
@@ -479,6 +465,8 @@ def _verify_chunk(task: tuple[list, int, int, bool, bool]) -> Iterator[_Outcome]
     raised among them; its ValueError refuses a graph with more vertices
     than the brute-force star counts can finish, before any route runs.
     """
+    from .oracle import verify_all_identities
+
     items, p_max, m_max, as_json, compact = task
     for ident, g in items:
         if isinstance(g, GraphFormatError):
@@ -562,6 +550,10 @@ SWEEP_BLOCK = 256
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # The oracle is loaded only here and in what this command calls, so
+    # the other commands never load it.
+    from .oracle import _check_limits, _sweep_masks
+
     try:
         _check_limits(args.p_max, args.m_max)
     except ValueError as exc:

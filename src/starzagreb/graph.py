@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable
 
 __all__ = [
@@ -24,6 +24,18 @@ __all__ = [
     "to_graph6",
     "frequency_sequence",
 ]
+
+# The verifier's bounds live here, not in the oracle that exports them, so
+# that the CLI can name them in its help without loading the oracle.
+MAX_ENUM_N = 7
+# verify_all_identities counts stars by walking every subset of each
+# vertex's neighbourhood, up to n * 2^(n-1) subsets: about 1.4 s for K_20,
+# the worst case, and about 4.4 times longer per two more vertices.
+MAX_BRUTEFORCE_N = 20
+# The largest p_max and m_max, whose cost grows as their square.  On n
+# vertices the exponents past n - 1 test nothing new (Vandermonde on the
+# degrees), and this is at least max(8, 2n) for every n verify accepts.
+MAX_VERIFY_EXPONENT = 2 * MAX_BRUTEFORCE_N
 
 GRAPH6_HEADER = ">>graph6<<"
 # The pairs (u, v), u < v < 62, in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ...
@@ -57,8 +69,50 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in _fields, and its own __init__ checks
+    its arguments and stores them in the instance dict; from then on no
+    attribute can be assigned or deleted.  Equality (only between
+    instances of one class), hashing, repr and pickling read those fields
+    in that order, and unpickling calls the constructor, which checks them
+    again.  Cached properties write straight into the instance dict, so
+    they still work.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A C-level getter per class, always returning a tuple: the sweep
+        # hashes and compares its theorem results.
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """Immutable simple graph: a vertex count and a set of (u, v) pairs, u < v.
 
     No self-loops, no duplicate edges, endpoints in [0, n).  Instances are
@@ -67,17 +121,17 @@ class Graph:
     use, and as pure functions of those two fields they can never go stale.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 1:
             raise ValueError("graph must have at least one vertex")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not 0 <= u < v < self.n:
+            if not 0 <= u < v < n:
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
+        self.__dict__.update(n=n, edges=edges)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -114,19 +168,19 @@ class Graph:
         return FrequencySequence(tuple(counts))
 
 
-@dataclass(frozen=True)
-class FrequencySequence:
+class FrequencySequence(_Value):
     """Degree tallies f_0..f_{n-1}: counts[i] is the number of vertices of degree i."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
-    def __post_init__(self) -> None:
-        if not self.counts:
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        if not counts:
             raise ValueError("frequency sequence needs at least one vertex")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("negative frequency count")
-        if sum(self.counts) != len(self.counts):
+        if sum(counts) != len(counts):
             raise ValueError("frequency counts must sum to the vertex count")
+        self.__dict__.update(counts=counts)
 
     @property
     def n(self) -> int:

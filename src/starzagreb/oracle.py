@@ -27,7 +27,6 @@ that has it and, up to a cap, filled in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import combinations, islice
@@ -35,7 +34,15 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import falling_factorial_coeffs, stirling1_rows
-from .graph import FrequencySequence, Graph, to_graph6
+from .graph import (
+    MAX_BRUTEFORCE_N,
+    MAX_ENUM_N,
+    MAX_VERIFY_EXPONENT,
+    FrequencySequence,
+    Graph,
+    _Value,
+    to_graph6,
+)
 from .star import (
     StarSequence,
     alternating_moment,
@@ -71,15 +78,6 @@ __all__ = [
     "verify_all_identities",
 ]
 
-MAX_ENUM_N = 7
-# verify_all_identities counts stars by walking every subset of each
-# vertex's neighbourhood, up to n * 2^(n-1) subsets: about 1.4 s for K_20,
-# the worst case, and about 4.4 times longer per two more vertices.
-MAX_BRUTEFORCE_N = 20
-# The largest p_max and m_max, whose cost grows as their square.  On n
-# vertices the exponents past n - 1 test nothing new (Vandermonde on the
-# degrees), and this is at least max(8, 2n) for every n verify accepts.
-MAX_VERIFY_EXPONENT = 2 * MAX_BRUTEFORCE_N
 # The most entries a sweep memo holds: every profile, 342 at n = 7, plus
 # the keys a faulty library adds.
 SWEEP_MEMO_CAP = 1 << 12
@@ -201,24 +199,26 @@ def series_expand_rational(numerator: Sequence[int], n: int, terms: int) -> list
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremCheck:
+class TheoremCheck(_Value):
     """One exact comparison: residual = claimed value minus ground truth."""
 
-    label: str
-    residual: int | Fraction
+    _fields = ("label", "residual")
+
+    def __init__(self, label: str, residual: int | Fraction) -> None:
+        self.__dict__.update(label=label, residual=residual)
 
     @property
     def holds(self) -> bool:
         return self.residual == 0
 
 
-@dataclass(frozen=True)
-class TheoremResult:
+class TheoremResult(_Value):
     """All checks run for one identity family on one graph."""
 
-    name: str
-    checks: tuple[TheoremCheck, ...]
+    _fields = ("name", "checks")
+
+    def __init__(self, name: str, checks: tuple[TheoremCheck, ...]) -> None:
+        self.__dict__.update(name=name, checks=checks)
 
     # Cached: a sweep shares one result among every graph of a degree
     # profile, so the status is computed once per profile.
@@ -231,8 +231,7 @@ class TheoremResult:
         return tuple(c for c in self.checks if not c.holds)
 
 
-@dataclass(frozen=True)
-class ErratumNote:
+class ErratumNote(_Value):
     """Both readings of a disputed sign or index, evaluated side by side.
 
     triggered means the two variants actually disagree on this graph; the
@@ -240,23 +239,34 @@ class ErratumNote:
     observations, never failures.
     """
 
-    note_id: str
-    description: str
-    triggered: bool
-    witness: dict[str, str] | None
+    _fields = ("note_id", "description", "triggered", "witness")
+
+    def __init__(
+        self, note_id: str, description: str, triggered: bool, witness: dict[str, str] | None
+    ) -> None:
+        self.__dict__.update(
+            note_id=note_id, description=description, triggered=triggered, witness=witness
+        )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Value):
     """Deterministic per-graph verification report; no clocks, no floats."""
 
-    graph_id: str
-    n: int
-    m: int
-    p_max: int
-    m_max: int
-    theorems: tuple[TheoremResult, ...]
-    errata: tuple[ErratumNote, ...]
+    _fields = ("graph_id", "n", "m", "p_max", "m_max", "theorems", "errata")
+
+    def __init__(
+        self,
+        graph_id: str,
+        n: int,
+        m: int,
+        p_max: int,
+        m_max: int,
+        theorems: tuple[TheoremResult, ...],
+        errata: tuple[ErratumNote, ...],
+    ) -> None:
+        self.__dict__.update(
+            graph_id=graph_id, n=n, m=m, p_max=p_max, m_max=m_max, theorems=theorems, errata=errata
+        )
 
     # Cached, as TheoremResult.passed is: rendering a report and tallying
     # the verify summary each read both.

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .combinatorics import binomial, surjection_row
-from .graph import FrequencySequence, Graph
+from .graph import FrequencySequence, Graph, _Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "StarSequence",
@@ -37,8 +39,7 @@ class InconsistentSequenceError(ValueError):
     """Raised for an odd degree sum or a forced negative count, the only checks made."""
 
 
-@dataclass(frozen=True)
-class StarSequence:
+class StarSequence(_Value):
     """Star-subgraph counts of an n-vertex graph.
 
     s1 is the raw edge count S_1; higher stores S_2..S_{n-1}.  The doubled
@@ -46,22 +47,20 @@ class StarSequence:
     two can never be applied twice.
     """
 
-    n: int
-    s1: int
-    higher: tuple[int, ...]
+    _fields = ("n", "s1", "higher")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, s1: int, higher: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("star sequence needs at least one vertex")
-        if len(self.higher) != max(0, self.n - 2):
+        if len(higher) != max(0, n - 2):
             raise ValueError(
-                f"expected {max(0, self.n - 2)} entries past S_1 for n = {self.n}, "
-                f"got {len(self.higher)}"
+                f"expected {max(0, n - 2)} entries past S_1 for n = {n}, got {len(higher)}"
             )
-        if self.s1 < 0 or any(x < 0 for x in self.higher):
+        if s1 < 0 or any(x < 0 for x in higher):
             raise ValueError("star counts cannot be negative")
-        if self.n == 1 and self.s1 != 0:
+        if n == 1 and s1 != 0:
             raise ValueError("a single vertex has no edges")
+        self.__dict__.update(n=n, s1=s1, higher=higher)
 
     @property
     def adjusted_first(self) -> int:
@@ -97,12 +96,13 @@ class StarSequence:
         return (self.adjusted_first, *self.higher)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Shape recognized from a star sequence: a path, a k-regular graph, or neither."""
 
-    kind: str
-    degree: int | None = None
+    _fields = ("kind", "degree")
+
+    def __init__(self, kind: str, degree: int | None = None) -> None:
+        self.__dict__.update(kind=kind, degree=degree)
 
     @property
     def label(self) -> str:
@@ -216,6 +216,9 @@ def inverse_degree_edge_sum(g: Graph) -> Fraction:
     1/deg(v), one per incident edge.  Each edge uv adds L/deg(u) + L/deg(v),
     integers over L, the lcm of the nonzero degrees, divided once.
     """
+    # Loaded here: no other library route needs rationals.
+    from fractions import Fraction
+
     degrees = g.vertex_degrees
     lcm = math.lcm(*filter(None, degrees))
     inverses = {d: lcm // d for d in set(degrees) if d}

@@ -8,17 +8,18 @@ That fraction is never in lowest terms: Z(t) = f_0 + sum_{d in D} f_d /
 (1 - dt) over the set D of distinct positive degrees.  So both other
 routes start from the reduced numerator R(t) = Z(t) prod_{d in D} (1 - dt),
 of degree at most |D|: `genfunc_numerator` multiplies in (1 - jt) for each
-j in 1..n outside D, and `zagreb_by_recurrence` divides by each (1 - dt).
+j in 1..n outside D, and `zagreb_by_recurrence` divides by each (1 - dt),
+after halving p by root squaring until at most |D| + 1 terms remain, so
+its cost grows with log p and the size of Z_p, not with p steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import mul
 
 from .combinatorics import stirling1_rows, surjection_row
-from .graph import Graph
+from .graph import Graph, _Value
 from .star import StarSequence
 
 __all__ = [
@@ -55,22 +56,21 @@ def zagreb_from_stars(s: StarSequence, p: int) -> int:
     return s.adjusted_first + sum(row[i] * s.entry(i) for i in range(2, len(row)))
 
 
-@dataclass(frozen=True)
-class ZagrebGenFunc:
+class ZagrebGenFunc(_Value):
     """Numerator a_0..a_n of the Zagreb generating function over (1-t)...(1-nt).
 
     a_0 = n always, and a_n = (-1)^n n! f_0, so the numerator degree drops
     below n exactly when the graph has no isolated vertices.
     """
 
-    n: int
-    numerator: tuple[int, ...]
+    _fields = ("n", "numerator")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, numerator: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("generating function needs at least one vertex")
-        if len(self.numerator) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} numerator coefficients")
+        if len(numerator) != n + 1:
+            raise ValueError(f"expected {n + 1} numerator coefficients")
+        self.__dict__.update(n=n, numerator=numerator)
 
     @property
     def strictly_proper(self) -> bool:
@@ -125,16 +125,31 @@ def recurrence_coeffs(n: int) -> list[int]:
 
 
 def zagreb_by_recurrence(g: Graph, p: int) -> int:
-    """Z_p via the order-|D| recurrence in factored form: the reduced
-    numerator streams through one running quotient per d in D, ascending,
-    and the t^p coefficient of the last is Z_p.  Dividing by (1 - dt) is
-    y_k = x_k + d y_{k-1}; each quotient grows like the largest degree
-    already divided out, so the small ones go first.  Every step multiplies
-    by a small d < n, memory stays at |D| + 1 integers, and no p-th power
-    is ever formed."""
+    """Z_p = [t^p] R(t) / prod_{d in D} (1 - dt), from the reduced
+    numerator R and the factors alone, never from direct powers.
+
+    First the exponent is halved by root squaring (Graeffe's method; the
+    halving step of Bostan and Mori, "A simple and fast algorithm for
+    computing the N-th term of a linearly recurrent sequence", SOSA 2021):
+    with R(t) prod_{d in D} (1 + dt) = U_0(t^2) + t U_1(t^2), the t^p
+    coefficient is [s^(p // 2)] U_(p mod 2)(s) / prod_{d in D} (1 - d^2 s).
+    Each halving keeps at most |D| + 1 numerator coefficients and squares
+    each factor, so it runs about log2(p / |D|) times.  Then the numerator
+    streams through one running quotient per factor, ascending, for at
+    most |D| + 2 steps, and the last one's t^p coefficient is Z_p.
+    Dividing by (1 - dt) is y_k = x_k + d y_{k-1}; each quotient grows like
+    the largest factor already divided out, so the small ones go first.
+    """
     if p < 0:
         raise ValueError("exponent must be a non-negative integer")
     num, factors = _reduced_numerator(g)
+    while p > len(num):
+        num += [0] * len(factors)
+        for d in factors:
+            _times_factor(num, -d)
+        num = num[p & 1::2]
+        factors = [d * d for d in factors]
+        p //= 2
     carry = [0] * len(factors)
     for x in chain(num[: p + 1], repeat(0, p + 1 - len(num))):
         for i, d in enumerate(factors):
@@ -143,12 +158,13 @@ def zagreb_by_recurrence(g: Graph, p: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
+class RecurrenceCheck(_Value):
     """Residual Z_p + sum_i c_i Z_{p-i} at one exponent; zero means the relation holds."""
 
-    p: int
-    residual: int
+    _fields = ("p", "residual")
+
+    def __init__(self, p: int, residual: int) -> None:
+        self.__dict__.update(p=p, residual=residual)
 
     @property
     def holds(self) -> bool:

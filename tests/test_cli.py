@@ -246,30 +246,30 @@ def test_zagreb_refuses_answers_past_the_digit_cap(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("method", ["recurrence", "all"])
-def test_zagreb_bounds_recurrence_steps_when_max_degree_is_below_2(
-    tmp_path, capsys, monkeypatch, method
-):
-    # Z_p of K_2 is 2 at every p, but the recurrence runs p steps, so its
-    # bound takes the max degree as 2: p*log10(2) + log10(2) <= 300,000.
-    def unreachable(*args):
-        raise AssertionError("the recurrence ran past its step bound")
+def test_zagreb_recurrence_answers_k2_at_any_p(tmp_path, capsys, monkeypatch, method):
+    # Z_p of K_2 is 2 at every p.  Root squaring halves p until at most
+    # |D| + 1 = 2 terms remain, so the recurrence route answers at once at
+    # any p, even where p*log10(2) passes the 300,000-digit cap, and every
+    # route agrees.
+    exponents = (996578, 10**9, 10**400)
+    calls = []
+    real = cli.zagreb_by_recurrence
 
-    monkeypatch.setattr(cli, "zagreb_by_recurrence", unreachable)
+    def recording(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(cli, "zagreb_by_recurrence", recording)
     src = write(tmp_path, "k2.txt", "2\n0 1\n")
-    for p in ("996578", "1000000000", "1" + "0" * 400):
-        rc = main(["zagreb", src, "--p", p, "--method", method, "--json"])
+    for p in exponents:
+        rc = main(["zagreb", src, "--p", str(p), "--method", method, "--json"])
         captured = capsys.readouterr()
-        assert rc == 2
+        assert (rc, captured.err) == (0, "")
         (record,) = json_lines(captured.out)
-        assert record["type"] == "error"
-        assert "p*log10(2) + log10(n) must not exceed 300,000" in record["error"]
-        assert captured.err == f"error: {src}: {record['error']}\n"
-    # Just inside the bound, and for the routes that take no steps, K_2 is
-    # answered.
-    monkeypatch.undo()
-    assert main(["zagreb", src, "--p", "996577", "--method", method, "--json"]) == 0
-    (record,) = json_lines(capsys.readouterr().out)
-    assert set(record["values"].values()) == {"2"}
+        assert record["values"]["recurrence"] == "2"
+        assert set(record["values"].values()) == {"2"}
+        assert record.get("agree", True) is True
+    assert calls == list(exponents)
     for other in ("direct", "star"):
         assert main(["zagreb", src, "--p", "1000000000", "--method", other, "--json"]) == 0
         (record,) = json_lines(capsys.readouterr().out)
@@ -520,7 +520,7 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
         theorems=(TheoremResult("inversion", (TheoremCheck("S1", 1),)),),
         errata=(),
     )
-    monkeypatch.setattr(cli, "verify_all_identities", lambda *a, **kw: broken)
+    monkeypatch.setattr(oracle, "verify_all_identities", lambda *a, **kw: broken)
     rc = main(["verify", write(tmp_path, "k2.txt", "2\n0 1\n")])
     out = capsys.readouterr().out
     assert rc == 1
@@ -675,7 +675,7 @@ def test_verify_failure_outranks_a_bad_line(tmp_path, capsys, monkeypatch):
         theorems=(TheoremResult("inversion", (TheoremCheck("S1", 1),)),),
         errata=(),
     )
-    monkeypatch.setattr(cli, "verify_all_identities", lambda *a, **kw: broken)
+    monkeypatch.setattr(oracle, "verify_all_identities", lambda *a, **kw: broken)
     src = write(tmp_path, "mixed.g6", BAD_LINE_G6)
     rc = main(["verify", src])
     captured = capsys.readouterr()

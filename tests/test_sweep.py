@@ -15,7 +15,6 @@ import threading
 from collections import Counter, deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, starmap
 from pathlib import Path
@@ -34,6 +33,7 @@ from starzagreb.oracle import (
     verify_all_identities,
 )
 from starzagreb.star import StarSequence, frequency_from_star, inverse_degree_edge_sum
+from starzagreb.zagreb import RecurrenceCheck, ZagrebGenFunc
 from tests.named import path
 from tests.test_fastpaths import profile_graphs
 
@@ -253,13 +253,13 @@ def test_passing_sweep_builds_no_graph(monkeypatch):
     # memo builds none.
     memo: dict = {}
     built = []
-    real = Graph.__post_init__
+    real = Graph.__init__
 
-    def counting(self):
+    def counting(self, n, edges):
         built.append(self)
-        real(self)
+        real(self, n, edges)
 
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(Graph, "__init__", counting)
     entries = list(oracle._sweep_masks(5, memo, 8, 4))
     assert len(entries) == 1024
     assert all(r.passed for theorems, _ in entries for r in theorems)
@@ -418,7 +418,7 @@ def is_claw(arg) -> bool:
 
 
 def bump_s2(s: StarSequence) -> StarSequence:
-    return replace(s, higher=(s.higher[0] + 1, *s.higher[1:]))
+    return StarSequence(s.n, s.s1, (s.higher[0] + 1, *s.higher[1:]))
 
 
 # Each route _profile_part calls, a way to put its result off by one, and
@@ -443,12 +443,12 @@ PROFILE_ROUTE_FAULTS = [
     ("zagreb_direct", lambda x: x + 1, {"zagreb_from_stars", "genfunc", "recurrence"}),
     (
         "genfunc_numerator",
-        lambda gf: replace(gf, numerator=(gf.numerator[0] + 1, *gf.numerator[1:])),
+        lambda gf: ZagrebGenFunc(gf.n, (gf.numerator[0] + 1, *gf.numerator[1:])),
         {"genfunc"},
     ),
     (
         "verify_recurrence",
-        lambda items: [replace(items[0], residual=items[0].residual + 1), *items[1:]],
+        lambda items: [RecurrenceCheck(items[0].p, items[0].residual + 1), *items[1:]],
         {"recurrence"},
     ),
     ("zagreb_by_recurrence", lambda x: x + 1, {"recurrence"}),
@@ -896,7 +896,7 @@ def test_verify_reads_graph6_one_chunk_per_worker_ahead(tmp_path, capsys, monkey
                 lines_read += 1
                 yield line
 
-    real = cli.verify_all_identities
+    real = oracle.verify_all_identities
 
     def recording(*args, **kwargs):
         if not read_at_first_verify:
@@ -904,7 +904,7 @@ def test_verify_reads_graph6_one_chunk_per_worker_ahead(tmp_path, capsys, monkey
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "open", CountingFile, raising=False)
-    monkeypatch.setattr(cli, "verify_all_identities", recording)
+    monkeypatch.setattr(oracle, "verify_all_identities", recording)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     use_pool(monkeypatch)
     assert main(["verify", str(src), "--jobs", str(jobs), "--p-max", "3", "--m-max", "2"]) == 0
@@ -1026,13 +1026,13 @@ def test_memo_cap_bounds_misses_without_changing_output(capsys, monkeypatch):
     argv = ("--p-max", "1", "--m-max", "0")
     rc, full = sweep_stdout(capsys, 5, *argv)
     memos = []
-    real = cli._sweep_masks
+    real = oracle._sweep_masks
 
     def recording(n, memo, *args):
         memos.append(memo)
         return real(n, memo, *args)
 
-    monkeypatch.setattr(cli, "_sweep_masks", recording)
+    monkeypatch.setattr(oracle, "_sweep_masks", recording)
     monkeypatch.setattr(oracle, "SWEEP_MEMO_CAP", 50)
     assert sweep_stdout(capsys, 5, *argv) == (rc, full) == (1, full)
     assert len(memos) == 1

@@ -254,6 +254,43 @@ def test_factored_recurrence_matches_window(g, p):
     assert expected == zagreb_direct(g, p)
 
 
+def test_root_squaring_matches_direct_on_every_labeled_graph():
+    # Every halving of p, odd and even, down to the stream of at most
+    # |D| + 2 steps.  The route reads a graph only through its degree
+    # profile, so one graph per profile covers every labeled graph with
+    # n <= 6.
+    for n in range(1, 7):
+        for g in {g.frequency: g for g in all_labeled_graphs(n)}.values():
+            for p in range(65):
+                assert zagreb_by_recurrence(g, p) == zagreb_direct(g, p), (g, p)
+
+
+@given(
+    graphs(max_n=62),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_root_squaring_matches_direct(g, p, k):
+    # A drawn p, p around a power of two, where the halvings run down to
+    # 1 or to 0 step by step, and p around len(num), where the first
+    # halving starts.
+    width = len(_reduced_numerator(g)[0])
+    for q in (p, 2**k - 1, 2**k, 2**k + 1, max(width - 1, 0), width, width + 1):
+        assert zagreb_by_recurrence(g, q) == zagreb_direct(g, q), (g, q)
+
+
+def test_root_squaring_at_huge_exponents():
+    # p = 10^9 takes about 30 halvings: Z_p is 2 on K_2, and 0 on an
+    # edgeless graph, whose empty D halves nothing but p.
+    assert zagreb_by_recurrence(path(2), 10**9) == 2
+    for n in (1, 2, 5, 62):
+        assert [zagreb_by_recurrence(edgeless(n), p) for p in (0, 1, 2, 10**9)] == [n, 0, 0, 0]
+    assert zagreb_by_recurrence(path(3), 100_000) == 2 + 2**100_000
+    k3131 = Graph.from_edges(62, [(u, v) for u in range(31) for v in range(31, 62)])
+    assert zagreb_by_recurrence(k3131, 50_000) == 62 * 31**50_000
+
+
 def assert_paper_numerator_vanishes_at_one_over_n(g: Graph) -> None:
     # No vertex has degree n, so (1 - nt) cancels out of Z(t) and the
     # paper's numerator has a root at t = 1/n: sum_k a_k n^(n-k) = 0.
