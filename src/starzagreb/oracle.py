@@ -27,6 +27,7 @@ that has it and, up to a cap, filled in.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import combinations, islice
@@ -88,16 +89,18 @@ def star_counts_bruteforce(g: Graph) -> tuple[int, ...]:
 
     No binomial coefficients and no degree tallies are involved: each
     center's mask gains one bit per edge met, bit i standing for its i-th
-    neighbour, so a center of d neighbours has the mask (1 << d) - 1.  Its
-    subsets are walked once by _subset_histogram and tallied by size.  No
-    walk is shared, so the cost is the sum over v of 2^deg(v), whatever n.
+    neighbour, so a center of d neighbours has the mask (1 << d) - 1.  The
+    subsets of each distinct mask are walked once by _subset_histogram,
+    tallied by size, and that tally is counted once per center with the
+    mask, so the cost is the sum of 2^d over the distinct degrees d.
     """
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] = masks[u] << 1 | 1
         masks[v] = masks[v] << 1 | 1
     width = _star_field_width(g.n, max(masks).bit_length())
-    return _unpack_star_counts(sum(map(partial(_subset_histogram, width=width), masks)), g.n, width)
+    packed = sum(c * _subset_histogram(mask, width) for mask, c in Counter(masks).items())
+    return _unpack_star_counts(packed, g.n, width)
 
 
 def _star_field_width(n: int, delta: int) -> int:
@@ -473,14 +476,14 @@ def verify_all_identities(
     truth).  Failures land in the report, not in exceptions; two runs over
     the same graph produce identical reports.  Graphs with more than
     MAX_BRUTEFORCE_N vertices are refused with ValueError, since the
-    brute-force star counts visit up to n * 2^(n-1) neighbour subsets; so
+    brute-force star counts visit up to 2^n neighbour subsets; so
     are p_max and m_max above MAX_VERIFY_EXPONENT.
     """
     _check_limits(p_max, m_max)
     if g.n > MAX_BRUTEFORCE_N:
         raise ValueError(
             f"n = {g.n} is above the brute-force limit of {MAX_BRUTEFORCE_N} vertices: "
-            "verify counts stars over up to n * 2^(n-1) neighbour subsets"
+            "verify counts stars over up to 2^n neighbour subsets"
         )
     theorems, errata = _profile_part(
         g, partial(inverse_degree_edge_sum, g), partial(star_counts_bruteforce, g), p_max, m_max

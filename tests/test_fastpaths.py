@@ -1,19 +1,23 @@
 """The batch fast paths against the slow paths they replaced.
 
-parse_graph6 selects its edges from a table of vertex pairs by the 0/1
-bytes of each character, star_sequence adds one binomial row per distinct
-degree, and genfunc_numerator takes the reduced numerator
-R(t) = Z(t) prod_{d in D} (1 - dt) over the distinct positive degrees D,
-formed from running products Z_0..Z_|D|, times the factors (1 - jt) with
-j outside D.  The per-bit decoder, the per-vertex binomial star count and
-the Stirling convolution of zagreb_direct's values below are the code
-they replaced, kept here as references: exhaustively for n <= 6, by
-hypothesis up to n = 62, and against networkx's graph6 decoder where it is
-installed.
+parse_graph6 reads the bits into one integer and takes m and each degree
+as bit counts, caches them with the line, and selects the edges from a
+table of vertex pairs by the 0/1 bytes of each character only when they
+are read; star_sequence adds one binomial row per distinct degree, and
+genfunc_numerator takes the reduced numerator R(t) = Z(t) prod_{d in D}
+(1 - dt) over the distinct positive degrees D, formed from running
+products Z_0..Z_|D|, times the factors (1 - jt) with j outside D.  The
+per-bit decoder, the per-vertex binomial star count and the Stirling
+convolution of zagreb_direct's values below are the code they replaced,
+kept here as references, and a decoded graph is compared with the
+constructor's graph on the same edges: exhaustively for n <= 6, by
+hypothesis up to n = 62, and against networkx's graph6 decoder where it
+is installed.
 """
 
 from __future__ import annotations
 
+import pickle
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -23,12 +27,18 @@ from hypothesis import example, given, settings
 
 import starzagreb.combinatorics as combinatorics_module
 import starzagreb.zagreb as zagreb_module
+from starzagreb.cli import genfunc_record, info_record, zagreb_record
 from starzagreb.combinatorics import binomial
 from starzagreb.graph import GRAPH6_HEADER, Graph, GraphFormatError, parse_graph6, to_graph6
-from starzagreb.oracle import _realize, all_labeled_graphs, series_expand_rational
+from starzagreb.oracle import (
+    _realize,
+    all_labeled_graphs,
+    series_expand_rational,
+    verify_all_identities,
+)
 from starzagreb.star import StarSequence, _binomial_row, star_sequence
 from starzagreb.zagreb import genfunc_numerator, recurrence_coeffs, zagreb_direct
-from tests.named import complete, edgeless, star
+from tests.named import complete, edgeless, path, star
 from tests.strategies import graphs
 
 try:
@@ -96,12 +106,63 @@ def profile_graphs(n: int) -> list[Graph]:
     return [g for g in (_realize(n, degrees) for degrees in sequences) if g is not None]
 
 
+def with_padding_set(line: str) -> str:
+    """A header-free graph6 line with every padding bit of its last character set."""
+    n = ord(line[0]) - 63
+    pad = -(n * (n - 1) // 2) % 6
+    return line[:-1] + chr(63 + ((ord(line[-1]) - 63) | (1 << pad) - 1)) if pad else line
+
+
+def assert_decodes_to(line: str, g: Graph) -> None:
+    """parse_graph6(line) agrees with g, a graph built by the constructor:
+    on what the decoder fills in from the bits, and then, through its
+    edge set, on equality, hashing, repr and pickling.  Its edges pass the
+    constructor's check."""
+    h = parse_graph6(line)
+    assert (h.n, h.m, h.vertex_degrees, h.frequency) == (g.n, g.m, g.vertex_degrees, g.frequency)
+    assert star_sequence(h) == star_sequence(g)
+    assert to_graph6(h) == to_graph6(g)
+    assert h == g and hash(h) == hash(g)
+    # A frozenset's repr follows the order its elements went in, graph6 order here.
+    assert repr(h) == repr(Graph(g.n, frozenset(sorted(g.edges, key=lambda e: e[::-1]))))
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert Graph(h.n, h.edges) == h
+
+
 def test_fast_paths_agree_with_the_slow_paths_on_every_labeled_graph():
     for n in range(1, 7):
         for g in all_labeled_graphs(n):
             line = to_graph6(g)
-            assert parse_graph6(line) == per_bit_parse_graph6(line) == g, line
+            assert per_bit_parse_graph6(line) == g, line
+            for padded in (line, with_padding_set(line)):
+                h = parse_graph6(padded)
+                assert (h.m, h.vertex_degrees, to_graph6(h)) == (g.m, g.vertex_degrees, line), padded
+                assert h == g, padded
             assert star_sequence(g) == per_vertex_star_sequence(g), line
+
+
+@given(graphs(max_n=62))
+@example(complete(62))
+@settings(max_examples=200, deadline=None)
+def test_decoded_graph_equals_the_constructed_graph(g):
+    line = to_graph6(g)
+    assert_decodes_to(line, g)
+    assert_decodes_to(with_padding_set(line), g)
+
+
+def test_only_verify_builds_the_edge_set_of_a_decoded_graph():
+    lines = ["@", "A_", "Bz", with_padding_set(to_graph6(complete(62))), to_graph6(path(40))]
+    for line in lines:
+        g = parse_graph6(line)
+        expected = per_bit_parse_graph6(line)
+        assert info_record(line, g) == info_record(line, expected)
+        assert genfunc_record(line, g) == genfunc_record(line, expected)
+        for method in ("direct", "star", "recurrence", "all"):
+            assert zagreb_record(line, g, 3, method) == zagreb_record(line, expected, 3, method)
+        assert "edges" not in g.__dict__, line
+    g = parse_graph6(to_graph6(path(12)))
+    assert verify_all_identities(g).passed
+    assert g.__dict__["edges"] == path(12).edges
 
 
 def refuse_stirling(*args):
@@ -162,10 +223,13 @@ def graph6_lines(draw) -> tuple[str, Graph]:
 @given(graph6_lines())
 @example((">>graph6<<A_\n", Graph(2, frozenset({(0, 1)}))))
 @example(("Bz", Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}))))  # padding bits 011
+@example(("B~", Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}))))  # padding bits 111
+@example((" }" + "~" * 316 + "\n", complete(62)))  # padding bits 11111
 @settings(max_examples=200, deadline=None)
 def test_parse_graph6_agrees_with_the_per_bit_decoder(case):
     line, g = case
-    assert parse_graph6(line) == per_bit_parse_graph6(line) == g
+    assert per_bit_parse_graph6(line) == g
+    assert_decodes_to(line, g)
 
 
 @pytest.mark.skipif(nx is None, reason="networkx is not installed")

@@ -154,7 +154,7 @@ def test_graph6_decode_matches_reference_encoder_exhaustively():
             g = parse_graph6(line)
             assert g.n == n
             assert g.edges == {tuple(sorted(e)) for e in edge_set}
-            assert to_graph6(g) == line
+            assert to_graph6(g) == to_graph6(Graph(n, g.edges)) == line
 
 
 def test_graph6_rejects_bad_input():

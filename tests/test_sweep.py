@@ -359,29 +359,35 @@ def test_profile_memo_builds_one_table(monkeypatch):
 
 
 def test_public_bruteforce_walks_each_centre_once(monkeypatch):
-    # The public path builds no table and shares no walk: one walk per
-    # vertex, in vertex order, of the mask with one bit per neighbour, and
-    # fields sized from the maximum degree, even at the brute-force limit.
+    # The public path builds no table: one walk per distinct mask with one
+    # bit per neighbour, (1 << d) - 1 for each degree d present, in order of
+    # its first centre; each walk's tally counts once per centre of that
+    # degree, and fields are sized from the maximum degree, even at the
+    # brute-force limit.
     calls = record_histograms(monkeypatch)
     for g in (path(oracle.MAX_BRUTEFORCE_N), labeled_graph_from_mask(7, 0xB63AD)):
         calls.clear()
         counts = star_counts_bruteforce(g)
         degrees = g.vertex_degrees
-        assert [mask for mask, _, _ in calls] == [(1 << d) - 1 for d in degrees]
-        assert {width for _, width, _ in calls} == {oracle._star_field_width(g.n, max(degrees))}
+        assert [mask for mask, _, _ in calls] == [(1 << d) - 1 for d in dict.fromkeys(degrees)]
+        width = oracle._star_field_width(g.n, max(degrees))
+        assert {w for _, w, _ in calls} == {width}
+        tally = Counter(degrees)
+        packed = sum(tally[mask.bit_length()] * histogram for mask, _, histogram in calls)
+        assert counts == oracle._unpack_star_counts(packed, g.n, width)
         assert counts == tuple(
             sum(math.comb(d, k) for d in degrees) // (2 if k == 1 else 1) for k in range(1, g.n)
         )
 
 
 def test_public_bruteforce_masks_stay_degree_wide_on_a_long_path(monkeypatch):
-    # A centre's mask has one bit per neighbour, not one per vertex, so on
-    # a sparse graph no walk grows with n.
+    # A centre's mask has one bit per neighbour, not one per vertex, and
+    # centres of one degree share a walk: a long path walks the two masks
+    # of its ends and of its inner vertices.
     calls = record_histograms(monkeypatch)
     g = path(2000)
     assert star_counts_bruteforce(g) == (1999, 1998, *[0] * 1997)
-    assert len(calls) == g.n
-    assert all(mask < 1 << 2 for mask, _, _ in calls)
+    assert [mask for mask, _, _ in calls] == [0b1, 0b11]
 
 
 def test_jobs_2_equals_jobs_1(capsys, monkeypatch):
